@@ -52,14 +52,29 @@ EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_CERTIFICATE = 4
 
+CAP_HELP = ("degree cap (default: the first degree at which a form must "
+            "exist, so the search always resolves)")
+
 
 def _primes_option(value):
     if value is None:
         return DEFAULT_PRIMES
-    parts = [int(x) for x in value.split(",")]
+    try:
+        parts = [int(x) for x in value.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--primes wants integers p1,p2: {exc}") from exc
     if len(parts) != 2:
         raise ValidationError("--primes wants exactly two primes p1,p2")
     return tuple(check_field_prime(p) for p in parts)
+
+
+def _grid_int(grid, key, default):
+    value = grid.get(key, default)
+    try:
+        return value if value is None else int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"grid {key!r} must be an integer, "
+                              f"not {value!r}") from exc
 
 
 def _emit(data: dict, output):
@@ -149,7 +164,7 @@ def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
 @click.option("--k-max", type=int, default=1)
 @click.option("--mode", type=click.Choice(["rational", "modp"]), default="modp")
 @click.option("--primes", default=None, help="p1,p2 (31-bit primes)")
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=int, default=None, help=CAP_HELP)
 @click.option("-o", "--output", type=click.Path(), default=None)
 def alpha(scheme_file, k_min, k_max, mode, primes, cap, output):
     """Initial degrees of symbolic powers, k = k-min..k-max."""
@@ -181,7 +196,7 @@ def alpha(scheme_file, k_min, k_max, mode, primes, cap, output):
 @click.option("--k-max", type=int, default=2)
 @click.option("--mode", type=click.Choice(["rational", "modp"]), default="modp")
 @click.option("--primes", default=None)
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=int, default=None, help=CAP_HELP)
 @click.option("--points-file", type=click.Path(exists=True), default=None,
               help="planar configuration carrying the certificate")
 @click.option("--certificate-file", type=click.Path(exists=True), default=None)
@@ -291,9 +306,11 @@ def sweep(grid_file, seed, primes, output_dir):
     def go():
         import os
         grid = load_json(grid_file)
+        if not isinstance(grid, dict):
+            raise ValidationError("a sweep grid is a JSON object")
         ps = _primes_option(primes)
-        k_max = int(grid.get("k_max", 2))
-        cap = grid.get("cap")
+        k_max = _grid_int(grid, "k_max", 2)
+        cap = _grid_int(grid, "cap", None)
         rows = []
         for n in sorted(grid.get("N", [2])):
             for e in sorted(grid.get("e", [2])):

@@ -8,12 +8,12 @@ multinomial expansion; the expansions are built incrementally (degree by
 degree, one linear multiplication each), which is what keeps the search
 over candidate degrees cheap.
 
-Two arithmetic lanes share nothing but the pivot discipline: a numpy
-int64 lane over F_p (default, confirmed on a second prime, escalating to
-exact rationals on disagreement) and a Fraction/Bareiss lane over Q.
+One degree search serves two lanes that share nothing but the pivot
+discipline: numpy int64 over F_p (default; one prime searches, a second
+confirms only the answer degree, and the search re-runs over Q only when
+it refutes that degree) and Fraction/Bareiss over Q.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -93,7 +93,8 @@ class AdaptedTablesModP:
     """Per-subspace expansion tables mod p.
 
     ``table(d)[i, j]`` is the coefficient of the j-th adapted monomial in
-    the expansion of the i-th original degree-d monomial.
+    the expansion of the i-th original degree-d monomial.  Only the newest
+    degree is kept; asking for an older one rebuilds from degree 0.
     """
 
     def __init__(self, sub: Subspace, p: int):
@@ -104,18 +105,19 @@ class AdaptedTablesModP:
         self.B = np.array(
             [[fraction_mod(x, p) for x in row] for row in change.inverse],
             dtype=np.int64)
-        self._tables = {0: np.ones((1, 1), dtype=np.int64)}
-        self._max_built = 0
+        self._table0 = np.ones((1, 1), dtype=np.int64)
+        self._degree, self._table = 0, self._table0
 
     def table(self, d: int):
-        while self._max_built < d:
+        if d < self._degree:
+            self._degree, self._table = 0, self._table0
+        while self._degree < d:
             self._build_next()
-        return self._tables[d]
+        return self._table
 
     def _build_next(self):
-        d = self._max_built + 1
+        d, prev = self._degree + 1, self._table
         nv, p = self.nvars, self.p
-        prev = self._tables[d - 1]
         n_d = len(monomial_basis(nv, d))
         T = np.zeros((n_d, n_d), dtype=np.int64)
         for j, rows, parents in _parent_groups(nv, d):
@@ -127,21 +129,17 @@ class AdaptedTablesModP:
                     sm = _shift_map(nv, d - 1, k)
                     acc[:, sm] = (acc[:, sm] + c * src % p) % p
             T[rows] = acc
-        self._tables[d] = T
-        self._max_built = d
+        self._degree, self._table = d, T
 
     def block(self, d: int, kappa: int):
         """Condition rows annihilating exactly the degree-d part of I^kappa."""
         sel = _selected_betas(self.nvars, d, self.e, kappa)
         return np.ascontiguousarray(self.table(d)[:, sel].T)
 
-    def drop_below(self, d: int):
-        for key in [k for k in self._tables if 0 < k < d]:
-            del self._tables[key]
-
 
 class AdaptedTablesQQ:
-    """Rational twin of :class:`AdaptedTablesModP` (sparse dicts)."""
+    """Rational twin of :class:`AdaptedTablesModP` (sparse dicts, newest
+    degree only)."""
 
     def __init__(self, sub: Subspace):
         self.nvars = sub.ambient_dim + 1
@@ -149,18 +147,19 @@ class AdaptedTablesQQ:
         change = complete_basis(sub)
         self.B = [list(row) for row in change.inverse]
         zero = (0,) * self.nvars
-        self._tables = {0: {zero: {zero: Fraction(1)}}}
-        self._max_built = 0
+        self._table0 = {zero: {zero: Fraction(1)}}
+        self._degree, self._table = 0, self._table0
 
     def table(self, d: int):
-        while self._max_built < d:
+        if d < self._degree:
+            self._degree, self._table = 0, self._table0
+        while self._degree < d:
             self._build_next()
-        return self._tables[d]
+        return self._table
 
     def _build_next(self):
-        d = self._max_built + 1
+        d, prev = self._degree + 1, self._table
         nv = self.nvars
-        prev = self._tables[d - 1]
         out = {}
         for m in monomial_basis(nv, d):
             j = next(v for v, exp in enumerate(m) if exp)
@@ -179,18 +178,14 @@ class AdaptedTablesQQ:
                     elif bumped in poly:
                         del poly[bumped]
             out[m] = poly
-        self._tables[d] = out
-        self._max_built = d
+        self._degree, self._table = d, out
 
     def block(self, d: int, kappa: int):
         """Condition rows as dense Fraction lists (rows x monomials)."""
         basis = monomial_basis(self.nvars, d)
         sel = [basis[i] for i in _selected_betas(self.nvars, d, self.e, kappa)]
         tab = self.table(d)
-        rows = []
-        for beta in sel:
-            rows.append([tab[m].get(beta, Fraction(0)) for m in basis])
-        return rows
+        return [[tab[m].get(beta, Fraction(0)) for m in basis] for beta in sel]
 
 
 # -- forms ---------------------------------------------------------------------
@@ -301,7 +296,16 @@ class AlphaRecord:
 
 
 def default_degree_cap(scheme: FatFlatScheme, k: int) -> int:
-    return 4 * k * scheme.max_multiplicity * len(scheme.components)
+    """First d >= max(orders) with more monomials than order conditions,
+    C(d+N, N) > sum_i condition_row_count(e_i, k*mu_i, d, N): then I^(k)
+    has a nonzero form of degree d over every field, so a search resolves."""
+    n = scheme.ambient_dim
+    comps = symbolic_multiplicities(scheme, k)
+    d = max(kappa for _, kappa in comps)
+    while comb(d + n, n) <= sum(condition_row_count(sub.codim, kappa, d, n)
+                                for sub, kappa in comps):
+        d += 1
+    return d
 
 
 def _modp_apply(matrix, vector, p):
@@ -311,39 +315,38 @@ def _modp_apply(matrix, vector, p):
 
 
 def _stack_modp(tables, orders, d):
-    blocks = [t.block(d, kappa) for t, kappa in zip(tables, orders)]
-    return np.vstack(blocks)
+    return np.vstack([t.block(d, kappa) for t, kappa in zip(tables, orders)])
 
 
 def _stack_rational(tables, orders, d):
-    rows = []
-    for t, kappa in zip(tables, orders):
-        rows.extend(t.block(d, kappa))
-    return rows
+    return [row for t, kappa in zip(tables, orders) for row in t.block(d, kappa)]
 
 
-def _witness_from_kernel(kernel, nvars, d, field):
-    basis = monomial_basis(nvars, d)
-    coeffs = {basis[i]: (int(v) if field != "rational" else v)
-              for i, v in enumerate(kernel) if v}
-    return Form.from_dict(nvars - 1, d, coeffs, field)
+def _kernel_modp(tables, orders, d):
+    """A kernel vector of the degree-d condition matrix mod p, or None at
+    full column rank: then no form of degree d exists over Q either."""
+    p = tables[0].p
+    M = _stack_modp(tables, orders, d)
+    _, kernel = rank_kernel_modp(M, p)
+    if kernel is not None and (_modp_apply(M, kernel, p) != 0).any():
+        raise AssertionError("kernel vector failed verification")
+    return kernel
 
 
-def _alpha_rational(scheme, k, cap):
-    comps = symbolic_multiplicities(scheme, k)
-    tables = [AdaptedTablesQQ(sub) for sub, _ in comps]
-    orders = [kappa for _, kappa in comps]
-    nvars = scheme.ambient_dim + 1
+def _kernel_rational(tables, orders, d):
+    """A kernel vector of the degree-d condition matrix over Q, or None."""
+    ncols = len(monomial_basis(tables[0].nvars, d))
+    return rank_kernel_rational(_stack_rational(tables, orders, d), ncols=ncols)[1]
+
+
+def _first_kernel(tables, orders, cap, kernel_at):
+    """The least degree d <= cap at which ``kernel_at`` finds a kernel
+    vector, and that vector; (None, None) when no degree up to cap has one."""
     for d in range(max(orders), cap + 1):
-        rows = _stack_rational(tables, orders, d)
-        ncols = len(monomial_basis(nvars, d))
-        rank, kernel = rank_kernel_rational(rows, ncols=ncols)
+        kernel = kernel_at(tables, orders, d)
         if kernel is not None:
-            witness = _witness_from_kernel(kernel, nvars, d, "rational")
-            return AlphaRecord(k=k, alpha=d, witness=witness,
-                               field_mode="rational", degree_cap=cap)
-    return AlphaRecord(k=k, field_mode="rational", degree_cap=cap,
-                       degree_cap_hit=True)
+            return d, kernel
+    return None, None
 
 
 def _build_tables_modp(subs, p):
@@ -359,50 +362,46 @@ def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
                    degree_cap: int = None, primes=DEFAULT_PRIMES) -> AlphaRecord:
     """Least degree of a nonzero element of I^(k), with witness.
 
-    modp mode runs the full degree search under two independent primes;
-    agreement is accepted, disagreement escalates to exact rationals.
-    A search that passes the cap returns an unresolved record.
+    modp mode searches on the first prime alone (full rank mod p1 proves
+    that no form of that degree exists over Q); the second prime
+    eliminates only at the answer degree d.  Full rank there refutes d,
+    so the same search re-runs over Q (``escalated``), as in rational
+    mode.  The default cap is the first degree at which a form must
+    exist, so only a caller's cap leaves the record unresolved.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     cap = degree_cap if degree_cap is not None else default_degree_cap(scheme, k)
     if cap < 1:
         raise ValidationError("degree cap must be >= 1")
-    if mode == "rational":
-        return _alpha_rational(scheme, k, cap)
-    if mode != "modp":
+    if mode not in ("modp", "rational"):
         raise ValidationError(f"unknown mode {mode!r}")
-
     comps = symbolic_multiplicities(scheme, k)
     subs = [sub for sub, _ in comps]
     orders = [kappa for _, kappa in comps]
-    p1, tabs1 = _build_tables_modp(subs, primes[0])
-    p2, tabs2 = _build_tables_modp(subs, primes[1])
-    if p1 == p2:
-        p2, tabs2 = _build_tables_modp(subs, next_field_prime(p2))
-    nvars = scheme.ambient_dim + 1
-    for d in range(max(orders), cap + 1):
-        M1 = _stack_modp(tabs1, orders, d)
-        rank1, kernel1 = rank_kernel_modp(M1, p1)
-        M2 = _stack_modp(tabs2, orders, d)
-        rank2, _ = rank_kernel_modp(M2, p2)
-        null1 = kernel1 is not None
-        null2 = M2.shape[1] - rank2 > 0
-        if null1 != null2:
-            record = _alpha_rational(scheme, k, cap)
-            record.primes = (p1, p2)
-            record.escalated = True
-            return record
-        if null1:
-            if (_modp_apply(M1, kernel1, p1) != 0).any():  # kernel must annihilate
-                raise AssertionError("kernel vector failed verification")
-            witness = _witness_from_kernel(kernel1, nvars, d, p1)
-            return AlphaRecord(k=k, alpha=d, witness=witness, field_mode="modp",
-                               degree_cap=cap, primes=(p1, p2))
-        for t in itertools.chain(tabs1, tabs2):
-            t.drop_below(d)
-    return AlphaRecord(k=k, field_mode="modp", degree_cap=cap,
-                       degree_cap_hit=True, primes=(p1, p2))
+    record = AlphaRecord(k=k, field_mode=mode, degree_cap=cap)
+    if mode == "modp":
+        p1, tables = _build_tables_modp(subs, primes[0])
+        d, kernel = _first_kernel(tables, orders, cap, _kernel_modp)
+        p2, tables = _build_tables_modp(subs, primes[1])  # frees p1's tables
+        if p2 == p1:
+            p2, tables = _build_tables_modp(subs, next_field_prime(p2))
+        record.primes = (p1, p2)
+        if d is not None and _kernel_modp(tables, orders, d) is None:
+            record.field_mode, record.escalated = "rational", True
+    if record.field_mode == "rational":
+        tables = [AdaptedTablesQQ(sub) for sub in subs]
+        d, kernel = _first_kernel(tables, orders, cap, _kernel_rational)
+    if d is None:
+        record.degree_cap_hit = True
+        return record
+    field = p1 if record.field_mode == "modp" else "rational"
+    basis = monomial_basis(scheme.ambient_dim + 1, d)
+    coeffs = {basis[i]: v if field == "rational" else int(v)
+              for i, v in enumerate(kernel) if v}
+    record.alpha = d
+    record.witness = Form.from_dict(scheme.ambient_dim, d, coeffs, field)
+    return record
 
 
 def require_alpha(record: AlphaRecord) -> int:

@@ -74,9 +74,9 @@ def points_from_dict(data: dict) -> FatPointsP2:
 
 def load_any_scheme(data: dict):
     """Scheme or points file, by shape."""
-    if "components" in data:
+    if isinstance(data, dict) and "components" in data:
         return scheme_from_dict(data)
-    if "points" in data:
+    if isinstance(data, dict) and "points" in data:
         return points_from_dict(data)
     raise ValidationError("file is neither a scheme nor a points configuration")
 
@@ -190,4 +190,7 @@ def dump_json(data: dict, path=None) -> str:
 
 def load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"{path}: malformed JSON: {exc}") from exc

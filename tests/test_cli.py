@@ -87,6 +87,29 @@ def test_alpha_missing_file_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command,content,extra", [
+    ("alpha", "{\"components\": [", []),
+    ("alpha", "5", []),
+    ("alpha", None, ["--primes", "abc"]),
+    ("sweep", json.dumps({"N": [2], "k_max": "x"}), []),
+    ("sweep", "[2]", []),
+], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
+        "sweep-k-max-not-integer", "sweep-grid-not-object"])
+def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
+                          extra):
+    path = star_file
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(content)
+    args = [command, str(path), *extra]
+    if command == "sweep":
+        args += ["-o", str(tmp_path / "sweep")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert any(line.startswith("error: ")
+               for line in result.output.splitlines())
+
+
 def test_bounds_star_core_exact(runner, tmp_path):
     path = tmp_path / "star25.json"
     _invoke(runner, ["build", "star", "--n", "2", "--e", "2", "--s", "5",

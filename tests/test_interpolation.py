@@ -23,6 +23,7 @@ from fatflats.projective import LinForm, Subspace, point_subspace
 from fatflats.scalars import DEFAULT_PRIMES
 from fatflats.schemes import (
     FatPointsP2,
+    build_rational_target,
     build_theorem_b_family,
     scale_multiplicities,
     star_configuration,
@@ -266,7 +267,16 @@ def test_cap_behavior(star25):
     assert not record.resolved and record.degree_cap_hit
     with pytest.raises(CapExceededError):
         require_alpha(record)
-    assert default_degree_cap(scheme, 2) == 4 * 2 * 1 * 10
+    # The default cap is the first degree with more monomials than order
+    # conditions, where a form must exist: ten double points need 30
+    # conditions, and C(7+2, 2) = 36 > 30 >= C(6+2, 2).
+    assert default_degree_cap(scheme, 2) == 7
+    target = build_rational_target(4, 10)  # 2*S_4(4,5): alpha 3, 5, 8, 10
+    caps = [default_degree_cap(target, k) for k in (1, 2, 3, 4)]
+    assert caps == [3, 6, 9, 12]
+    assert all(c >= a for c, a in zip(caps, (3, 5, 8, 10)))
+    for k in (1, 2, 3):
+        assert not alpha_symbolic(scheme, k).degree_cap_hit
     with pytest.raises(ValidationError):
         alpha_symbolic(scheme, 0)
     with pytest.raises(ValidationError):
@@ -284,6 +294,26 @@ def test_bad_prime_replacement():
     assert record.alpha == 1
     assert p1 not in record.primes
     assert record.primes[0] != record.primes[1]
+
+
+@pytest.mark.parametrize("q", DEFAULT_PRIMES)
+def test_second_prime_confirms_or_escalates(q):
+    # (0, q, 1) reduces to (0, 0, 1) mod q, so mod q a line passes through
+    # the three points; over Q they are not collinear and alpha is 2.
+    scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, q, 1)],
+                         [1, 1, 1]).to_scheme()
+    record = alpha_symbolic(scheme, 1)
+    assert record.alpha == 2
+    assert membership(record.witness, scheme, 1)
+    assert record.primes == DEFAULT_PRIMES
+    if q == DEFAULT_PRIMES[0]:
+        # The first prime finds a line, the second refutes it at degree 1,
+        # and the search re-runs over Q.
+        assert record.escalated and record.field_mode == "rational"
+    else:
+        # The first prime is lucky; the second only eliminates at degree
+        # 2, where a conic exists mod q too.
+        assert not record.escalated and record.field_mode == "modp"
 
 
 def test_scaled_star_alpha(star25):
