@@ -77,6 +77,15 @@ def _grid_int(grid, key, default):
                               f"not {value!r}") from exc
 
 
+def _grid_ints(grid, key, default):
+    values = grid.get(key, default)
+    if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValidationError(f"grid {key!r} must be a list of integers, "
+                              f"not {values!r}")
+    return sorted(values)
+
+
 def _emit(data: dict, output):
     text = dump_json(data, output)
     if output is None:
@@ -311,11 +320,13 @@ def sweep(grid_file, seed, primes, output_dir):
         ps = _primes_option(primes)
         k_max = _grid_int(grid, "k_max", 2)
         cap = _grid_int(grid, "cap", None)
+        ns, es, ss, ms = (_grid_ints(grid, key, default) for key, default in
+                          (("N", [2]), ("e", [2]), ("s", [3]), ("m", [1])))
         rows = []
-        for n in sorted(grid.get("N", [2])):
-            for e in sorted(grid.get("e", [2])):
-                for s in sorted(grid.get("s", [3])):
-                    for m in sorted(grid.get("m", [1])):
+        for n in ns:
+            for e in es:
+                for s in ss:
+                    for m in ms:
                         if not (1 <= e <= n and e <= s):
                             continue
                         star, scheme = star_configuration(n, e, s, seed=seed)

@@ -339,10 +339,10 @@ def _kernel_rational(tables, orders, d):
     return rank_kernel_rational(_stack_rational(tables, orders, d), ncols=ncols)[1]
 
 
-def _first_kernel(tables, orders, cap, kernel_at):
-    """The least degree d <= cap at which ``kernel_at`` finds a kernel
-    vector, and that vector; (None, None) when no degree up to cap has one."""
-    for d in range(max(orders), cap + 1):
+def _first_kernel(tables, orders, start, cap, kernel_at):
+    """The least degree start <= d <= cap at which ``kernel_at`` finds a
+    kernel vector, and that vector; (None, None) when none of them has one."""
+    for d in range(start, cap + 1):
         kernel = kernel_at(tables, orders, d)
         if kernel is not None:
             return d, kernel
@@ -365,8 +365,8 @@ def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
     modp mode searches on the first prime alone (full rank mod p1 proves
     that no form of that degree exists over Q); the second prime
     eliminates only at the answer degree d.  Full rank there refutes d,
-    so the same search re-runs over Q (``escalated``), as in rational
-    mode.  The default cap is the first degree at which a form must
+    so the same search re-runs over Q (``escalated``) from d + 1, as in
+    rational mode.  The default cap is the first degree at which a form must
     exist, so only a caller's cap leaves the record unresolved.
     """
     if k < 1:
@@ -380,18 +380,21 @@ def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
     subs = [sub for sub, _ in comps]
     orders = [kappa for _, kappa in comps]
     record = AlphaRecord(k=k, field_mode=mode, degree_cap=cap)
+    start = max(orders)
     if mode == "modp":
         p1, tables = _build_tables_modp(subs, primes[0])
-        d, kernel = _first_kernel(tables, orders, cap, _kernel_modp)
+        d, kernel = _first_kernel(tables, orders, start, cap, _kernel_modp)
         p2, tables = _build_tables_modp(subs, primes[1])  # frees p1's tables
         if p2 == p1:
             p2, tables = _build_tables_modp(subs, next_field_prime(p2))
         record.primes = (p1, p2)
         if d is not None and _kernel_modp(tables, orders, d) is None:
+            # Full rank mod p1 below d and mod p2 at d prove alpha > d.
             record.field_mode, record.escalated = "rational", True
+            start = d + 1
     if record.field_mode == "rational":
         tables = [AdaptedTablesQQ(sub) for sub in subs]
-        d, kernel = _first_kernel(tables, orders, cap, _kernel_rational)
+        d, kernel = _first_kernel(tables, orders, start, cap, _kernel_rational)
     if d is None:
         record.degree_cap_hit = True
         return record

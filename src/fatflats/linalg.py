@@ -1,9 +1,16 @@
 """Exact elimination kernels.
 
 Two independent routes are kept on purpose: fraction-free (Bareiss)
-elimination over the integers for the rational lane, and vectorized
-Gauss-Jordan over F_p for the fast lane.  Pivot order is deterministic
+elimination over the integers for the rational lane, and blocked
+elimination over F_p for the fast lane.  Pivot order is deterministic
 (leftmost column, topmost row) so kernel vectors are reproducible.
+
+The F_p kernel works on int64 residues of a prime p < 2^31.  Its block
+products run as float64 BLAS matrix products on integers: each product
+has at most 64 terms, each below (p - 1) * (2^16 - 1) because the right
+operand is split into 16-bit limbs, so every partial sum stays below
+2^53 and is exact.  The sums are converted back to int64 and reduced
+mod p; no rounded value is ever used.
 """
 
 from fractions import Fraction
@@ -126,42 +133,115 @@ def rank_kernel_rational(rows, ncols=None):
     return rank, kernel
 
 
+# The exactness bound of rank_kernel_modp's block products:
+# _PANEL * (p - 1) * (2^_LIMB_BITS - 1) < 2^6 * 2^31 * 2^16 = 2^53 for
+# every p < _PRIME_BOUND, whatever the summation order.  The trailing
+# update runs in strips of _STRIP columns to bound its temporaries.
+_PANEL = 64
+_STRIP = 256
+_LIMB_BITS = 16
+_PRIME_BOUND = 1 << 31
+
+
+def _matmul_modp(a, b, p):
+    """``a @ b mod p`` exactly: ``a`` is float64 with at most _PANEL
+    columns and integral entries in [0, p), ``b`` is int64 in [0, p)."""
+    lo = (b & ((1 << _LIMB_BITS) - 1)).astype(np.float64)
+    hi = (b >> _LIMB_BITS).astype(np.float64)
+    return ((a @ hi).astype(np.int64) % p * (1 << _LIMB_BITS)
+            + (a @ lo).astype(np.int64)) % p
+
+
+def _unit_lower_inverse(low, p):
+    """Inverse mod p of the unit lower triangular matrix whose strictly
+    lower part is that of the square int64 matrix ``low``."""
+    k = low.shape[0]
+    inv = np.eye(k, dtype=np.int64)
+    for j in range(k - 1):
+        inv[j + 1:] = (inv[j + 1:] - low[j + 1:, j, None] * inv[j]) % p
+    return inv
+
+
+def _trailing_update(T, L, p):
+    """Apply a panel's row operations to its trailing columns ``T`` (a view
+    from the panel's first row down), in place.  ``L`` holds the panel's
+    multipliers: k pivot columns, rows aligned with ``T``."""
+    k = L.shape[1]
+    top_inv = _unit_lower_inverse(L[:k], p).astype(np.float64)
+    bottom = L[k:].astype(np.float64)
+    for s in range(0, T.shape[1], _STRIP):
+        X = _matmul_modp(top_inv, T[:k, s:s + _STRIP], p)
+        T[:k, s:s + _STRIP] = X
+        if bottom.size:
+            T[k:, s:s + _STRIP] = (T[k:, s:s + _STRIP]
+                                   - _matmul_modp(bottom, X, p)) % p
+
+
 def rank_kernel_modp(mat, p):
     """Rank and one deterministic kernel vector over F_p.
 
-    ``mat`` is a 2D int64 array (copied, not modified).  Returns
-    (rank, kernel) with kernel an int64 array or None at full column
-    rank.  Uses Gauss-Jordan so kernel extraction is immediate.
+    ``mat`` is a 2D integer array (copied, not modified) and ``p`` a prime
+    below 2^31, the bound on which the exactness of the float64 block
+    products rests.  Returns (rank, kernel) with kernel an int64 array, or
+    None at full column rank.  The kernel vector sets the first free
+    column to 1 and all other free columns to 0, so it is unique.
+
+    Forward elimination is blocked: each panel of _PANEL columns is
+    eliminated pivot by pivot (leftmost column, topmost nonzero row; rows
+    are swapped whole, and the multipliers are stored in place of the
+    entries they eliminate).  The trailing columns then get two float64
+    BLAS products, ``X = L_top^-1 @ T_top`` and ``T_bot -= L_bot @ X``,
+    on 16-bit limbs of the right operand: every partial sum is below
+    64 * (p - 1) * (2^16 - 1) < 2^53, so it is exact, and it is reduced in
+    int64.  The pivot columns are the column rank profile of ``mat``;
+    back-substitution runs over the pivots left of the first free column
+    only.
     """
+    if not 2 <= p < _PRIME_BOUND:
+        raise ValueError(f"modulus {p} is outside [2, 2^31)")
     M = np.array(mat, dtype=np.int64) % p
     nrows, ncols = M.shape
-    pivots = []
+    pivots, inverses = [], []
     r = 0
-    for c in range(ncols):
+    for c0 in range(0, ncols, _PANEL):
         if r >= nrows:
             break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = M[r] * inv % p
-        fac = M[:, c].copy()
-        fac[r] = 0
-        hit = np.nonzero(fac)[0]
-        if hit.size:
-            M[hit] = (M[hit] - fac[hit, None] * M[r][None, :]) % p
-        pivots.append(c)
-        r += 1
+        c1 = min(c0 + _PANEL, ncols)
+        r0, k0 = r, len(pivots)
+        for c in range(c0, c1):
+            if r >= nrows:
+                break
+            nz = np.flatnonzero(M[r:, c])
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                M[[r, i]] = M[[i, r]]
+            inv = pow(int(M[r, c]), p - 2, p)
+            # The multipliers overwrite the entries they eliminate, so the
+            # row swaps carry them along and the panel's pivot columns
+            # below its first row form its L block.
+            fac = M[r + 1:, c] * inv % p
+            M[r + 1:, c] = fac
+            M[r + 1:, c + 1:c1] = (M[r + 1:, c + 1:c1]
+                                   - fac[:, None] * M[r, c + 1:c1]) % p
+            pivots.append(c)
+            inverses.append(inv)
+            r += 1
+        if r > r0 and c1 < ncols:
+            _trailing_update(M[r0:, c1:], M[r0:, pivots[k0:]], p)
     rank = r
     if rank == ncols:
         return rank, None
-    pivot_set = set(pivots)
-    free = next(c for c in range(ncols) if c not in pivot_set)
+    # Columns left of the first free one are all pivots, pivot i in row i;
+    # only the upper triangle of M[:free, :free + 1] is read.
+    free = next((i for i, c in enumerate(pivots) if i != c), rank)
     kernel = np.zeros(ncols, dtype=np.int64)
     kernel[free] = 1
-    for i, c in enumerate(pivots):
-        kernel[c] = (-int(M[i, free])) % p
+    rhs = -M[:free, free] % p
+    for i in range(free - 1, -1, -1):
+        x = int(rhs[i]) * inverses[i] % p
+        kernel[i] = x
+        rhs[:i] -= M[:i, i] * x
+        rhs[:i] %= p
     return rank, kernel

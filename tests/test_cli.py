@@ -93,8 +93,13 @@ def test_alpha_missing_file_exit_2(runner, tmp_path):
     ("alpha", None, ["--primes", "abc"]),
     ("sweep", json.dumps({"N": [2], "k_max": "x"}), []),
     ("sweep", "[2]", []),
+    ("sweep", json.dumps({"N": 2}), []),
+    ("sweep", json.dumps({"N": ["x"]}), []),
+    ("sweep", json.dumps({"e": [True]}), []),
 ], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
-        "sweep-k-max-not-integer", "sweep-grid-not-object"])
+        "sweep-k-max-not-integer", "sweep-grid-not-object",
+        "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
+        "sweep-grid-entry-boolean"])
 def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
                           extra):
     path = star_file

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from fatflats import interpolation
 from fatflats.errors import CapExceededError, ValidationError
 from fatflats.interpolation import (
     AdaptedTablesModP,
@@ -297,23 +298,34 @@ def test_bad_prime_replacement():
 
 
 @pytest.mark.parametrize("q", DEFAULT_PRIMES)
-def test_second_prime_confirms_or_escalates(q):
+def test_second_prime_confirms_or_escalates(q, monkeypatch):
     # (0, q, 1) reduces to (0, 0, 1) mod q, so mod q a line passes through
     # the three points; over Q they are not collinear and alpha is 2.
     scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, q, 1)],
                          [1, 1, 1]).to_scheme()
+    rational_degrees = []
+    kernel_rational = interpolation._kernel_rational
+
+    def counting(tables, orders, d):
+        rational_degrees.append(d)
+        return kernel_rational(tables, orders, d)
+
+    monkeypatch.setattr(interpolation, "_kernel_rational", counting)
     record = alpha_symbolic(scheme, 1)
     assert record.alpha == 2
     assert membership(record.witness, scheme, 1)
     assert record.primes == DEFAULT_PRIMES
     if q == DEFAULT_PRIMES[0]:
         # The first prime finds a line, the second refutes it at degree 1,
-        # and the search re-runs over Q.
+        # and the search re-runs over Q from degree 2: full rank mod p2 at
+        # degree 1 already proves that no line exists.
         assert record.escalated and record.field_mode == "rational"
+        assert rational_degrees == [2]
     else:
         # The first prime is lucky; the second only eliminates at degree
         # 2, where a conic exists mod q too.
         assert not record.escalated and record.field_mode == "modp"
+        assert rational_degrees == []
 
 
 def test_scaled_star_alpha(star25):
