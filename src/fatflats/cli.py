@@ -65,16 +65,18 @@ def _primes_option(value):
         raise ValidationError(f"--primes wants integers p1,p2: {exc}") from exc
     if len(parts) != 2:
         raise ValidationError("--primes wants exactly two primes p1,p2")
+    if parts[0] == parts[1]:
+        raise ValidationError("--primes wants two different primes p1,p2")
     return tuple(check_field_prime(p) for p in parts)
 
 
 def _grid_int(grid, key, default):
     value = grid.get(key, default)
-    try:
-        return value if value is None else int(value)
-    except (TypeError, ValueError) as exc:
+    if value is not None and (not isinstance(value, int)
+                              or isinstance(value, bool)):
         raise ValidationError(f"grid {key!r} must be an integer, "
-                              f"not {value!r}") from exc
+                              f"not {value!r}")
+    return value
 
 
 def _grid_ints(grid, key, default):

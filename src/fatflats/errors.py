@@ -25,8 +25,3 @@ class CapExceededError(FatFlatsError):
 
 class CertificateError(FatFlatsError):
     """A nef certificate failed to verify."""
-
-
-class BadPrimeError(FatFlatsError):
-    """The chosen prime divides a denominator arising in a coordinate
-    change; the caller should retry with a different prime."""

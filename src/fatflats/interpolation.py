@@ -11,20 +11,25 @@ over candidate degrees cheap.
 One degree search serves two lanes that share nothing but the pivot
 discipline: numpy int64 over F_p (default; one prime searches, a second
 confirms only the answer degree, and the search re-runs over Q only when
-it refutes that degree) and Fraction/Bareiss over Q.
+it refutes that degree) and Fraction/Bareiss over Q.  The F_p tables
+expand through an integral coordinate change, so each F_p condition
+matrix is the reduction of an integer matrix whose rows span the same
+space over Q as the Fraction conditions.  Its rank mod p is at most its
+rank over Q, so full column rank mod p proves the lower bound for every
+prime.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
-from .errors import BadPrimeError, CapExceededError, ValidationError
+from .errors import CapExceededError, ValidationError
 from .linalg import rank_kernel_modp, rank_kernel_rational
-from .projective import LinForm, Subspace, complete_basis
-from .scalars import DEFAULT_PRIMES, fraction_mod, next_field_prime
+from .projective import Subspace, complete_basis
+from .scalars import DEFAULT_PRIMES
 from .schemes import FatFlatScheme, symbolic_multiplicities
 
 
@@ -89,6 +94,16 @@ def _selected_betas(nvars, d, e, kappa):
 
 # -- adapted-coordinate expansion tables ---------------------------------------
 
+def _integral_change(sub: Subspace):
+    """``complete_basis(sub).inverse`` with column j times c_j, the lcm of
+    its denominators.  Scaling column j by c_j multiplies condition row
+    beta by prod c_j^beta_j != 0, so over Q the row space, rank and kernel
+    are unchanged, and over F_p too when p divides no c_j."""
+    inverse = complete_basis(sub).inverse
+    scales = [lcm(*(x.denominator for x in col)) for col in zip(*inverse)]
+    return [[int(x * c) for x, c in zip(row, scales)] for row in inverse]
+
+
 class AdaptedTablesModP:
     """Per-subspace expansion tables mod p.
 
@@ -101,9 +116,8 @@ class AdaptedTablesModP:
         self.p = p
         self.nvars = sub.ambient_dim + 1
         self.e = sub.codim
-        change = complete_basis(sub)
         self.B = np.array(
-            [[fraction_mod(x, p) for x in row] for row in change.inverse],
+            [[x % p for x in row] for row in _integral_change(sub)],
             dtype=np.int64)
         self._table0 = np.ones((1, 1), dtype=np.int64)
         self._degree, self._table = 0, self._table0
@@ -237,28 +251,13 @@ def form_product(factors):
     n = factors[0][0].ambient_dim
     if any(f.ambient_dim != n for f, _ in factors):
         raise ValidationError("ambient dimension mismatch")
-    zero = (0,) * (n + 1)
-    poly = {zero: Fraction(1)}
+    product = Form.from_dict(n, 0, {(0,) * (n + 1): Fraction(1)})
+    units = [tuple(int(i == v) for i in range(n + 1)) for v in range(n + 1)]
     for f, k in factors:
+        linear = Form.from_dict(n, 1, dict(zip(units, f.coeffs)))
         for _ in range(k):
-            poly = _mul_linear(poly, f, n)
-    degree = sum(k for _, k in factors)
-    return Form.from_dict(n, degree, poly)
-
-
-def _mul_linear(poly, form: LinForm, n):
-    out = {}
-    for v, c in enumerate(form.coeffs):
-        if c == 0:
-            continue
-        for exps, coeff in poly.items():
-            bumped = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
-            val = out.get(bumped, Fraction(0)) + c * coeff
-            if val:
-                out[bumped] = val
-            elif bumped in out:
-                del out[bumped]
-    return out
+            product = multiply_forms(product, linear)
+    return product
 
 
 def multiply_forms(f: Form, g: Form) -> Form:
@@ -349,22 +348,14 @@ def _first_kernel(tables, orders, start, cap, kernel_at):
     return None, None
 
 
-def _build_tables_modp(subs, p):
-    """Tables for one prime; replaces the prime when it hits a denominator."""
-    while True:
-        try:
-            return p, [AdaptedTablesModP(sub, p) for sub in subs]
-        except BadPrimeError:
-            p = next_field_prime(p)
-
-
 def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
                    degree_cap: int = None, primes=DEFAULT_PRIMES) -> AlphaRecord:
     """Least degree of a nonzero element of I^(k), with witness.
 
-    modp mode searches on the first prime alone (full rank mod p1 proves
-    that no form of that degree exists over Q); the second prime
-    eliminates only at the answer degree d.  Full rank there refutes d,
+    modp mode searches on the first prime alone: the F_p matrix reduces an
+    integer matrix with the Q row space, so full rank mod p1 proves that no
+    form of that degree exists over Q, whatever the prime.  The second
+    prime eliminates only at the answer degree d.  Full rank there refutes d,
     so the same search re-runs over Q (``escalated``) from d + 1, as in
     rational mode.  The default cap is the first degree at which a form must
     exist, so only a caller's cap leaves the record unresolved.
@@ -376,17 +367,18 @@ def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
         raise ValidationError("degree cap must be >= 1")
     if mode not in ("modp", "rational"):
         raise ValidationError(f"unknown mode {mode!r}")
+    p1, p2 = primes
+    if p1 == p2:
+        raise ValidationError(f"the two primes must differ, not {p1} twice")
     comps = symbolic_multiplicities(scheme, k)
     subs = [sub for sub, _ in comps]
     orders = [kappa for _, kappa in comps]
     record = AlphaRecord(k=k, field_mode=mode, degree_cap=cap)
     start = max(orders)
     if mode == "modp":
-        p1, tables = _build_tables_modp(subs, primes[0])
+        tables = [AdaptedTablesModP(sub, p1) for sub in subs]
         d, kernel = _first_kernel(tables, orders, start, cap, _kernel_modp)
-        p2, tables = _build_tables_modp(subs, primes[1])  # frees p1's tables
-        if p2 == p1:
-            p2, tables = _build_tables_modp(subs, next_field_prime(p2))
+        tables = [AdaptedTablesModP(sub, p2) for sub in subs]  # frees p1's
         record.primes = (p1, p2)
         if d is not None and _kernel_modp(tables, orders, d) is None:
             # Full rank mod p1 below d and mod p2 at d prove alpha > d.

@@ -170,11 +170,10 @@ def point_coords(sub: Subspace):
         raise ValidationError("subspace is not a point")
     n = sub.ambient_dim
     rows = [list(f.coeffs) for f in sub.forms]
-    _, pivots = rref_fractions(rows)
+    red, pivots = rref_fractions(rows)
     free = next(c for c in range(n + 1) if c not in pivots)
     coords = [Fraction(0)] * (n + 1)
     coords[free] = Fraction(1)
-    red, _ = rref_fractions(rows)
     for row, c in zip(red, pivots):
         coords[c] = -sum(row[j] * coords[j] for j in range(c + 1, n + 1))
     return normalize_point(coords)

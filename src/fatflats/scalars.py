@@ -2,12 +2,13 @@
 
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
 denominator).  Prime-field elements are ints in ``[0, p)`` with the prime
-carried alongside; the two representations never mix silently.
+carried alongside, and only integers are ever reduced mod p; the two
+representations never mix silently.
 """
 
 from fractions import Fraction
 
-from .errors import BadPrimeError, ValidationError
+from .errors import ValidationError
 
 # Two fixed 31-bit primes so runs are reproducible without a flag.
 DEFAULT_PRIMES = (2147483647, 2147483629)
@@ -44,23 +45,6 @@ def check_field_prime(p: int) -> int:
     if not (_PRIME_FLOOR <= p < _PRIME_CEIL) or not is_prime(p):
         raise ValidationError(f"{p} is not a prime in [2^30, 2^31)")
     return p
-
-
-def next_field_prime(p: int) -> int:
-    """Largest field prime strictly below p (for replacing a bad prime)."""
-    q = p - 1
-    while q >= _PRIME_FLOOR:
-        if is_prime(q):
-            return q
-        q -= 1
-    raise ValidationError("ran out of 31-bit primes")
-
-
-def fraction_mod(q: Fraction, p: int) -> int:
-    """Image of a rational in F_p; the denominator must be a unit."""
-    if q.denominator % p == 0:
-        raise BadPrimeError(f"denominator of {q} vanishes mod {p}")
-    return q.numerator * pow(q.denominator % p, p - 2, p) % p
 
 
 def parse_scalar(value) -> Fraction:

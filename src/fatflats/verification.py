@@ -138,9 +138,11 @@ def check_star_p3_linear():
 
 def _full_rank_modp(scheme, k, d, p=DEFAULT_PRIMES[0]):
     """True iff the degree-d condition matrix of I^(k) has full column
-    rank mod p.  Rank over Q is at least rank mod p, so this proves that
-    I^(k) holds no nonzero form of degree d, nor (multiplying by a
-    linear form) of any lower degree: alpha(I^(k)) > d."""
+    rank mod p.  That matrix reduces an integer matrix with the row space
+    of the conditions over Q, and rank over Q is at least rank mod p for
+    any prime p.  So this proves that I^(k) holds no nonzero form of
+    degree d, nor (multiplying by a linear form) of any lower degree:
+    alpha(I^(k)) > d."""
     comps = symbolic_multiplicities(scheme, k)
     tables = [AdaptedTablesModP(sub, p) for sub, _ in comps]
     return _kernel_modp(tables, [kappa for _, kappa in comps], d) is None

@@ -96,10 +96,14 @@ def test_alpha_missing_file_exit_2(runner, tmp_path):
     ("sweep", json.dumps({"N": 2}), []),
     ("sweep", json.dumps({"N": ["x"]}), []),
     ("sweep", json.dumps({"e": [True]}), []),
+    ("alpha", None, ["--primes", "2147483647,2147483647"]),
+    ("sweep", json.dumps({"k_max": True}), []),
+    ("sweep", json.dumps({"k_max": 2.7}), []),
 ], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
         "sweep-k-max-not-integer", "sweep-grid-not-object",
         "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
-        "sweep-grid-entry-boolean"])
+        "sweep-grid-entry-boolean", "primes-equal", "sweep-k-max-boolean",
+        "sweep-k-max-float"])
 def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
                           extra):
     path = star_file

@@ -163,19 +163,28 @@ def _monomial_value(coords, exps):
 
 
 def test_modp_tables_match_rational_tables():
-    sub = point_subspace((2, -1, 1))
+    """The mod-p tables expand through the coordinate change with column j
+    scaled by c_j, so entry (m, beta) is the rational entry times
+    prod c_j^beta_j, reduced mod p."""
     p = DEFAULT_PRIMES[0]
-    modp = AdaptedTablesModP(sub, p)
-    rational = AdaptedTablesQQ(sub)
-    from fatflats.scalars import fraction_mod
-    for d in (1, 2, 3):
-        table_p = modp.table(d)
-        table_q = rational.table(d)
-        basis = monomial_basis(3, d)
-        idx = {m: i for i, m in enumerate(basis)}
-        for mon, poly in table_q.items():
-            for beta, c in poly.items():
-                assert table_p[idx[mon], idx[beta]] == fraction_mod(c, p)
+    line = Subspace(3, [LinForm([2, 3, 5, 7]), LinForm([1, -4, 2, 3])])
+    for sub, scales in ((point_subspace((2, -1, 1)), (1, 1, 1)),
+                        (point_subspace((3, 2, 5)), (1, 1, 5)),
+                        (line, (1, 1, 11, 11))):
+        modp = AdaptedTablesModP(sub, p)
+        rational = AdaptedTablesQQ(sub)
+        nvars = sub.ambient_dim + 1
+        for d in (1, 2, 3):
+            table_p = modp.table(d)
+            table_q = rational.table(d)
+            basis = monomial_basis(nvars, d)
+            for i, mon in enumerate(basis):
+                for j, beta in enumerate(basis):
+                    c = table_q[mon].get(beta, Fraction(0))
+                    for scale, b in zip(scales, beta):
+                        c *= scale ** b
+                    expected = c.numerator * pow(c.denominator, -1, p) % p
+                    assert table_p[i, j] == expected
 
 
 # -- forms ---------------------------------------------------------------------
@@ -285,16 +294,27 @@ def test_cap_behavior(star25):
 
 
 def test_bad_prime_replacement():
-    # The adapted coordinate change for this point has an entry with
-    # denominator p1, so the first prime is unusable and must be
-    # replaced silently.
+    # The adapted coordinate change for (1, -p1, 0) has an entry with
+    # denominator p1.  The mod-p tables reduce the integral change, so p1
+    # itself still runs: no prime is replaced.
     p1 = DEFAULT_PRIMES[0]
     config = FatPointsP2([(1, -p1, 0), (1, 0, 1)], [1, 1])
     scheme = config.to_scheme()
     record = alpha_symbolic(scheme, 1)
     assert record.alpha == 1
-    assert p1 not in record.primes
-    assert record.primes[0] != record.primes[1]
+    assert record.primes == DEFAULT_PRIMES
+    assert not record.escalated and record.field_mode == "modp"
+    assert record.witness.field == p1
+    assert membership(record.witness, scheme, 1)
+    # The line -p1*x - y + p1*z through both points, reduced mod p1.
+    assert record.witness.as_dict() == {(0, 1, 0): 1}
+
+
+def test_equal_primes_rejected(star25):
+    _, scheme = star25
+    p = DEFAULT_PRIMES[0]
+    with pytest.raises(ValidationError):
+        alpha_symbolic(scheme, 1, primes=(p, p))
 
 
 @pytest.mark.parametrize("q", DEFAULT_PRIMES)

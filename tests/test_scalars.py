@@ -2,14 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from fatflats.errors import BadPrimeError, ValidationError
+from fatflats.errors import ValidationError
 from fatflats.scalars import (
     DEFAULT_PRIMES,
     check_field_prime,
     encode_scalar,
-    fraction_mod,
     is_prime,
-    next_field_prime,
     parse_scalar,
 )
 
@@ -32,27 +30,6 @@ def test_is_prime(n, expected):
 def test_check_field_prime_rejects_small_primes():
     with pytest.raises(ValidationError):
         check_field_prime(101)
-
-
-def test_next_field_prime_descends():
-    p = next_field_prime(DEFAULT_PRIMES[0])
-    assert p < DEFAULT_PRIMES[0]
-    assert is_prime(p)
-    # No prime in between.
-    for q in range(p + 1, DEFAULT_PRIMES[0]):
-        assert not is_prime(q)
-
-
-def test_fraction_mod_inverts_denominator():
-    p = DEFAULT_PRIMES[0]
-    x = fraction_mod(Fraction(2, 3), p)
-    assert 3 * x % p == 2
-
-
-def test_fraction_mod_rejects_vanishing_denominator():
-    p = DEFAULT_PRIMES[0]
-    with pytest.raises(BadPrimeError):
-        fraction_mod(Fraction(1, p), p)
 
 
 @pytest.mark.parametrize("value,expected", [
