@@ -29,6 +29,7 @@ from .interpolation import (  # noqa: F401
     AlphaRecord,
     Form,
     alpha_symbolic,
+    alpha_table,
     form_product,
     membership,
     multiply_forms,

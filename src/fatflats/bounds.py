@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .divisors import NefCertificate, lower_bound as nef_lower_bound
 from .errors import ValidationError
-from .interpolation import alpha_symbolic, require_alpha
+from .interpolation import alpha_symbolic, alpha_table, require_alpha
 from .scalars import DEFAULT_PRIMES
 from .schemes import FatFlatScheme, FatPointsP2
 
@@ -56,7 +56,8 @@ def upper_bounds(scheme: FatFlatScheme, k_max: int, mode: str = "modp",
     """alpha(I^(k)) for k = 1..k_max; upper bound is the min of alpha/k.
 
     Cap-exceeded entries stay in the table flagged unresolved; they never
-    contribute a fabricated value.
+    contribute a fabricated value.  One search per k, not one alpha_table:
+    perfbench times each k's ``alpha_symbolic`` (ROADMAP item 5).
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
@@ -94,6 +95,7 @@ def check_linear_alpha(scheme: FatFlatScheme, t: int, k_max: int,
     """True iff alpha(I^(k)) = t*k for all k <= k_max.
 
     Returns (ok, failing_k) with failing_k the first violation, if any.
+    One search per k, so a violation at small k ends the check early.
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
@@ -148,8 +150,6 @@ def noncontainment_witness(scheme: FatFlatScheme, m: int, r: int,
     """
     if m < 1 or r < 1:
         raise ValidationError("need m, r >= 1")
-    alpha_1 = require_alpha(alpha_symbolic(scheme, 1, mode=mode,
-                                           degree_cap=degree_cap, primes=primes))
-    alpha_m = require_alpha(alpha_symbolic(scheme, m, mode=mode,
-                                           degree_cap=degree_cap, primes=primes))
-    return alpha_m < r * alpha_1
+    table = alpha_table(scheme, sorted({1, m}), mode=mode,
+                        degree_cap=degree_cap, primes=primes)
+    return require_alpha(table[-1]) < r * require_alpha(table[0])

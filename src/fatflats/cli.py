@@ -22,7 +22,7 @@ from .errors import (
     FatFlatsError,
     ValidationError,
 )
-from .interpolation import alpha_symbolic, membership
+from .interpolation import alpha_symbolic, alpha_table, membership
 from .scalars import DEFAULT_PRIMES, check_field_prime, encode_scalar
 from .schemes import (
     FatPointsP2,
@@ -181,17 +181,16 @@ def alpha(scheme_file, k_min, k_max, mode, primes, cap, output):
     """Initial degrees of symbolic powers, k = k-min..k-max."""
     def go():
         scheme = _load_scheme_arg(scheme_file)
-        ps = _primes_option(primes)
+        table = alpha_table(scheme, range(k_min, k_max + 1), mode=mode,
+                            degree_cap=cap, primes=_primes_option(primes))
         rows = []
-        for k in range(k_min, k_max + 1):
-            record = alpha_symbolic(scheme, k, mode=mode, degree_cap=cap,
-                                    primes=ps)
-            rows.append({"k": k, "alpha": record.alpha,
+        for record in table:
+            rows.append({"k": record.k, "alpha": record.alpha,
                          "alpha_over_k": None if record.alpha is None else
-                         encode_scalar(Fraction(record.alpha, k)),
+                         encode_scalar(Fraction(record.alpha, record.k)),
                          "cap_hit": record.degree_cap_hit,
                          "escalated": record.escalated})
-            click.echo(f"k={k:3d}  alpha={record.alpha}"
+            click.echo(f"k={record.k:3d}  alpha={record.alpha}"
                        + ("  (unresolved above cap)" if record.degree_cap_hit
                           else ""), err=True)
         if any(row["cap_hit"] for row in rows):

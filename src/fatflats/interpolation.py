@@ -8,15 +8,15 @@ multinomial expansion; the expansions are built incrementally (degree by
 degree, one linear multiplication each), which is what keeps the search
 over candidate degrees cheap.
 
-One degree search serves two lanes that share nothing but the pivot
-discipline: numpy int64 over F_p (default; one prime searches, a second
-confirms only the answer degree, and the search re-runs over Q only when
-it refutes that degree) and Fraction/Bareiss over Q.  The F_p tables
-expand through an integral coordinate change, so each F_p condition
-matrix is the reduction of an integer matrix whose rows span the same
-space over Q as the Fraction conditions.  Its rank mod p is at most its
-rank over Q, so full column rank mod p proves the lower bound for every
-prime.
+One degree search, over a table of k, serves two lanes that share nothing
+but the pivot discipline: numpy int64 over F_p (default; one prime
+searches, a second confirms only the answer degrees, and a k re-runs over
+Q only when it refutes its degree) and Fraction/Bareiss over Q.  Each k
+starts past the previous answer, so one set of tables per prime serves
+every k.  The F_p tables expand through an integral coordinate change, so
+each F_p condition matrix reduces an integer matrix whose rows span the
+same space over Q as the Fraction conditions; its rank mod p is at most
+its rank over Q, so full column rank mod p proves the lower bound.
 """
 
 from dataclasses import dataclass
@@ -104,13 +104,21 @@ def _integral_change(sub: Subspace):
     return [[int(x * c) for x, c in zip(row, scales)] for row in inverse]
 
 
-class AdaptedTablesModP:
-    """Per-subspace expansion tables mod p.
+class _NewestDegree:
+    """Keeps the newest degree only; a request below it raises ValueError."""
 
-    ``table(d)[i, j]`` is the coefficient of the j-th adapted monomial in
-    the expansion of the i-th original degree-d monomial.  Only the newest
-    degree is kept; asking for an older one rebuilds from degree 0.
-    """
+    def table(self, d: int):
+        if d < self._degree:
+            raise ValueError(f"table is at degree {self._degree}, not {d}")
+        while self._degree < d:
+            self._build_next()
+        return self._table
+
+
+class AdaptedTablesModP(_NewestDegree):
+    """Per-subspace expansion tables mod p: ``table(d)[i, j]`` is the
+    coefficient of the j-th adapted monomial in the expansion of the i-th
+    original degree-d monomial."""
 
     def __init__(self, sub: Subspace, p: int):
         self.p = p
@@ -119,15 +127,7 @@ class AdaptedTablesModP:
         self.B = np.array(
             [[x % p for x in row] for row in _integral_change(sub)],
             dtype=np.int64)
-        self._table0 = np.ones((1, 1), dtype=np.int64)
-        self._degree, self._table = 0, self._table0
-
-    def table(self, d: int):
-        if d < self._degree:
-            self._degree, self._table = 0, self._table0
-        while self._degree < d:
-            self._build_next()
-        return self._table
+        self._degree, self._table = 0, np.ones((1, 1), dtype=np.int64)
 
     def _build_next(self):
         d, prev = self._degree + 1, self._table
@@ -151,9 +151,8 @@ class AdaptedTablesModP:
         return np.ascontiguousarray(self.table(d)[:, sel].T)
 
 
-class AdaptedTablesQQ:
-    """Rational twin of :class:`AdaptedTablesModP` (sparse dicts, newest
-    degree only)."""
+class AdaptedTablesQQ(_NewestDegree):
+    """Rational twin of :class:`AdaptedTablesModP` (sparse dicts)."""
 
     def __init__(self, sub: Subspace):
         self.nvars = sub.ambient_dim + 1
@@ -161,15 +160,7 @@ class AdaptedTablesQQ:
         change = complete_basis(sub)
         self.B = [list(row) for row in change.inverse]
         zero = (0,) * self.nvars
-        self._table0 = {zero: {zero: Fraction(1)}}
-        self._degree, self._table = 0, self._table0
-
-    def table(self, d: int):
-        if d < self._degree:
-            self._degree, self._table = 0, self._table0
-        while self._degree < d:
-            self._build_next()
-        return self._table
+        self._degree, self._table = 0, {zero: {zero: Fraction(1)}}
 
     def _build_next(self):
         d, prev = self._degree + 1, self._table
@@ -338,65 +329,84 @@ def _kernel_rational(tables, orders, d):
     return rank_kernel_rational(_stack_rational(tables, orders, d), ncols=ncols)[1]
 
 
-def _first_kernel(tables, orders, start, cap, kernel_at):
-    """The least degree start <= d <= cap at which ``kernel_at`` finds a
-    kernel vector, and that vector; (None, None) when none of them has one."""
-    for d in range(start, cap + 1):
-        kernel = kernel_at(tables, orders, d)
-        if kernel is not None:
-            return d, kernel
-    return None, None
+def _first_kernels(tables, records, orders, floors, kernel_at):
+    """{k: the least degree d <= cap with a kernel vector, and that vector,
+    or (None, None)}, each k starting past the previous: see alpha_table."""
+    found, j, b = {}, 0, 0  # alpha(I^(0)) = 0
+    for record in records:
+        k, cap = record.k, record.degree_cap
+        start = max(floors[k], b + k - j)
+        tried = ((d, kernel_at(tables, orders[k], d))
+                 for d in range(start, cap + 1))
+        found[k] = next((t for t in tried if t[1] is not None), (None, None))
+        j, b = k, found[k][0] or max(start, cap + 1)
+    return found
 
 
-def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
-                   degree_cap: int = None, primes=DEFAULT_PRIMES) -> AlphaRecord:
-    """Least degree of a nonzero element of I^(k), with witness.
+def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
+                degree_cap: int = None, primes=DEFAULT_PRIMES) -> list:
+    """One :class:`AlphaRecord` (alpha(I^(k)) with witness) per k of the
+    strictly increasing sequence ``ks``.  modp mode: the first prime p1
+    searches every k on one set of tables; the second, on its own tables,
+    eliminates only at each answer d; full rank there re-runs that k over Q
+    (``escalated``) from d + 1, as rational mode runs every k.
 
-    modp mode searches on the first prime alone: the F_p matrix reduces an
-    integer matrix with the Q row space, so full rank mod p1 proves that no
-    form of that degree exists over Q, whatever the prime.  The second
-    prime eliminates only at the answer degree d.  Full rank there refutes d,
-    so the same search re-runs over Q (``escalated``) from d + 1, as in
-    rational mode.  The default cap is the first degree at which a form must
-    exist, so only a caller's cap leaves the record unresolved.
+    k starts at max(max(orders), b + k - j), b the proved lower bound of the
+    previous record j.  Proof: full rank mod p1 on [start, d - 1] proves
+    alpha(I^(j)) >= d over Q, whatever p2 says (each F_p matrix reduces an
+    integer matrix with the Q row space); an unresolved record proves
+    alpha(I^(j)) > cap.  A form F != 0 in I^(k) has a first partial != 0
+    (Euler), of order >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
+    alpha(I^(k)) >= alpha(I^(k-1)) + 1 >= alpha(I^(j)) + k - j.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    cap = degree_cap if degree_cap is not None else default_degree_cap(scheme, k)
-    if cap < 1:
+    if any(j >= k for j, k in zip([0, *ks], ks)):
+        raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
+    if degree_cap is not None and degree_cap < 1:
         raise ValidationError("degree cap must be >= 1")
     if mode not in ("modp", "rational"):
         raise ValidationError(f"unknown mode {mode!r}")
     p1, p2 = primes
     if p1 == p2:
         raise ValidationError(f"the two primes must differ, not {p1} twice")
-    comps = symbolic_multiplicities(scheme, k)
-    subs = [sub for sub, _ in comps]
-    orders = [kappa for _, kappa in comps]
-    record = AlphaRecord(k=k, field_mode=mode, degree_cap=cap)
-    start = max(orders)
+    records = [AlphaRecord(k=k, field_mode=mode, degree_cap=degree_cap or
+                           default_degree_cap(scheme, k)) for k in ks]
+    orders = {k: [kappa for _, kappa in symbolic_multiplicities(scheme, k)]
+              for k in ks}
+    floors = {k: max(kappas) for k, kappas in orders.items()}
+    subs = [c.subspace for c in scheme.components]
+    found = {}
     if mode == "modp":
-        tables = [AdaptedTablesModP(sub, p1) for sub in subs]
-        d, kernel = _first_kernel(tables, orders, start, cap, _kernel_modp)
-        tables = [AdaptedTablesModP(sub, p2) for sub in subs]  # frees p1's
-        record.primes = (p1, p2)
-        if d is not None and _kernel_modp(tables, orders, d) is None:
-            # Full rank mod p1 below d and mod p2 at d prove alpha > d.
-            record.field_mode, record.escalated = "rational", True
-            start = d + 1
-    if record.field_mode == "rational":
-        tables = [AdaptedTablesQQ(sub) for sub in subs]
-        d, kernel = _first_kernel(tables, orders, start, cap, _kernel_rational)
-    if d is None:
-        record.degree_cap_hit = True
-        return record
-    field = p1 if record.field_mode == "modp" else "rational"
-    basis = monomial_basis(scheme.ambient_dim + 1, d)
-    coeffs = {basis[i]: v if field == "rational" else int(v)
-              for i, v in enumerate(kernel) if v}
-    record.alpha = d
-    record.witness = Form.from_dict(scheme.ambient_dim, d, coeffs, field)
-    return record
+        found = _first_kernels([AdaptedTablesModP(sub, p1) for sub in subs],
+                               records, orders, floors, _kernel_modp)
+        tables = [AdaptedTablesModP(sub, p2) for sub in subs]
+        for record in records:
+            k, d, record.primes = record.k, found[record.k][0], (p1, p2)
+            if d is not None and _kernel_modp(tables, orders[k], d) is None:
+                # Full rank mod p1 below d and mod p2 at d prove alpha > d.
+                record.field_mode, record.escalated = "rational", True
+                floors[k] = d + 1
+    redo = [r for r in records if r.field_mode == "rational"]
+    if redo:
+        tables = [AdaptedTablesQQ(sub) for sub in subs]  # frees p2's
+        found.update(_first_kernels(tables, redo, orders, floors,
+                                    _kernel_rational))
+    for record in records:
+        d, kernel = found[record.k]
+        record.degree_cap_hit = d is None
+        if d is not None:
+            field = p1 if record.field_mode == "modp" else "rational"
+            basis = monomial_basis(scheme.ambient_dim + 1, d)
+            coeffs = {basis[i]: v if field == "rational" else int(v)
+                      for i, v in enumerate(kernel) if v}
+            record.alpha, record.witness = d, Form.from_dict(
+                scheme.ambient_dim, d, coeffs, field)
+    return records
+
+
+def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
+                   degree_cap: int = None, primes=DEFAULT_PRIMES) -> AlphaRecord:
+    """alpha(I^(k)) with witness: the one-k :func:`alpha_table`."""
+    return alpha_table(scheme, [k], mode, degree_cap, primes)[0]
 
 
 def require_alpha(record: AlphaRecord) -> int:

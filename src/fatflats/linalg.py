@@ -129,7 +129,7 @@ def rank_kernel_rational(rows, ncols=None):
         c = pivots[i]
         s = sum(Fraction(ech[i][j]) * kernel[j] for j in range(c + 1, ncols)
                 if kernel[j] != 0)
-        kernel[c] = -s / ech[i][c]
+        kernel[c] = Fraction(-s, ech[i][c])
     return rank, kernel
 
 

@@ -33,9 +33,8 @@ from .classify import (
 from .divisors import ComponentClass, DivisorClass, NefCertificate, lower_bound
 from .errors import ValidationError
 from .interpolation import (
-    AdaptedTablesModP,
-    _kernel_modp,
     alpha_symbolic,
+    alpha_table,
     form_product,
     membership,
     monomial_basis,
@@ -54,7 +53,6 @@ from .projective import (
     random_general_hyperplanes,
     random_point_on,
 )
-from .scalars import DEFAULT_PRIMES
 from .schemes import (
     FatComponent,
     FatFlatScheme,
@@ -65,13 +63,12 @@ from .schemes import (
     scale_multiplicities,
     star_configuration,
     support_line,
-    symbolic_multiplicities,
     transform_scheme,
 )
 
 
-def _alpha(scheme, k, **kw):
-    return require_alpha(alpha_symbolic(scheme, k, **kw))
+def _alphas(scheme, ks, **kw):
+    return [require_alpha(r) for r in alpha_table(scheme, ks, **kw)]
 
 
 def _expect(ok, msg):
@@ -126,9 +123,8 @@ def check_star_p3_linear():
     _expect(_full_rank_modp(scheme, 3, values[2] - 1),
             f"a form of degree {values[2] - 1} may lie in I^(3)")
 
-    for k in (1, 2):
-        _expect(_alpha(scheme, k, mode="rational") == values[k - 1],
-                f"rational lane disagrees at k={k}")
+    rational = _alphas(scheme, (1, 2), mode="rational")
+    _expect(rational == values[:2], f"rational lane gives {rational} at k=1, 2")
     _expect(check_linear_alpha(scheme, 2, 4) == (False, 1),
             "alpha(I^(k)) = 2k must fail at k=1")
     _expect(check_linear_alpha(scale_multiplicities(scheme, 2), 4, 2)
@@ -136,16 +132,13 @@ def check_star_p3_linear():
     return f"alpha table {values}, each value proved; verdict exact 2"
 
 
-def _full_rank_modp(scheme, k, d, p=DEFAULT_PRIMES[0]):
-    """True iff the degree-d condition matrix of I^(k) has full column
-    rank mod p.  That matrix reduces an integer matrix with the row space
-    of the conditions over Q, and rank over Q is at least rank mod p for
-    any prime p.  So this proves that I^(k) holds no nonzero form of
-    degree d, nor (multiplying by a linear form) of any lower degree:
-    alpha(I^(k)) > d."""
-    comps = symbolic_multiplicities(scheme, k)
-    tables = [AdaptedTablesModP(sub, p) for sub, _ in comps]
-    return _kernel_modp(tables, [kappa for _, kappa in comps], d) is None
+def _full_rank_modp(scheme, k, d):
+    """True iff the search for alpha(I^(k)) up to degree d is unresolved:
+    its condition matrices have full column rank mod the first prime at
+    every degree up to d (or mod the second and over Q, after an
+    escalation).  Each reduces an integer matrix with the Q row space, and
+    rank over Q is at least rank mod p, so this proves alpha(I^(k)) > d."""
+    return not alpha_symbolic(scheme, k, degree_cap=d).resolved
 
 
 def _line_restriction_oracle(hyperplanes, degree):
@@ -183,14 +176,15 @@ def _monomial_eval(point, exponents):
 def check_star_p2_values():
     """S_2(2,5): alpha = 4, alpha^(2) = 5, alpha^(4) = 10; verdict exact 5/2."""
     _, scheme = star_configuration(2, 2, 5, seed=1)
-    a1, a2, a4 = _alpha(scheme, 1), _alpha(scheme, 2), _alpha(scheme, 4)
-    _expect((a1, a2, a4) == (4, 5, 10), f"got {(a1, a2, a4)}")
     report = upper_bounds(scheme, 4)
+    a1, a2, _, a4 = (require_alpha(r) for r in report.table)
+    _expect((a1, a2, a4) == (4, 5, 10), f"got {(a1, a2, a4)}")
     attach_lower(report, star_core_lower(scheme))
     _expect(report.verdict == "exact" and report.upper == Fraction(5, 2),
             f"verdict {report.verdict}, upper {report.upper}")
     # Field robustness on this instance: rational lane agrees.
-    _expect(_alpha(scheme, 2, mode="rational") == 5, "rational lane disagrees")
+    _expect(_alphas(scheme, [2], mode="rational") == [5],
+            "rational lane disagrees")
     return f"alpha(1,2,4)=({a1},{a2},{a4}), verdict exact 5/2"
 
 
@@ -209,7 +203,7 @@ def _theorem_a_instance():
 def check_theorem_a():
     """W_2 = {generic point on H_1} + 2*S_3(2,4): alpha(I^(k)) = 4k, k <= 3."""
     scheme = _theorem_a_instance()
-    values = [_alpha(scheme, k) for k in range(1, 4)]
+    values = _alphas(scheme, range(1, 4))
     _expect(values == [4, 8, 12], f"got {values}")
     ok, failing = check_linear_alpha(scheme, 4, 3)
     _expect(ok, f"linear-alpha check failed at k={failing}")
@@ -224,7 +218,7 @@ def check_case_c():
     _expect(result.case == CASE_C and result.alpha_hat == Fraction(7, 3),
             f"classified {result.case}")
     scheme = config.to_scheme()
-    _expect(_alpha(scheme, 3) == 7, "alpha(I^(3)) != 7")
+    _expect(_alphas(scheme, [3]) == [7], "alpha(I^(3)) != 7")
     p1, p2, p3, p4 = config.points
     witness = form_product([(line_through(p1, p2), 2),
                             (line_through(p1, p3), 2),
@@ -249,9 +243,8 @@ def check_case_a():
     _expect(result.case == CASE_A, f"classified {result.case}")
     scheme = config.to_scheme()
     line = support_line(config)
-    values = []
+    values = _alphas(scheme, range(1, 5))
     for k in range(1, 5):
-        values.append(_alpha(scheme, k))
         _expect(membership(form_product([(line, 2 * k)]), scheme, k),
                 f"L^{2 * k} not in I^({k})")
     _expect(values == [2, 4, 6, 8], f"got {values}")
@@ -294,9 +287,8 @@ def check_not_below():
             and r3.lower.value == Fraction(5, 2), "W' branch failed")
     verdicts = []
     for config, result in ((wprime, r3), (zprime, r1), (z5, r2)):
-        scheme = config.to_scheme()
-        _expect(_alpha(scheme, 2) == 5, "alpha(I^(2)) != 5")
-        report = upper_bounds(scheme, 2)
+        report = upper_bounds(config.to_scheme(), 2)
+        _expect(require_alpha(report.table[1]) == 5, "alpha(I^(2)) != 5")
         attach_lower(report, result.lower)
         verdicts.append(report.verdict)
         _expect(report.verdict == "exact" and report.upper == Fraction(5, 2),
@@ -307,7 +299,7 @@ def check_not_below():
 def check_quasi_star():
     """Quasi-star at s = 5: alpha(I(W_2)^(k)) = 5k for k = 1..2."""
     scheme = build_quasi_star(5, seed=1)
-    values = [_alpha(scheme, k) for k in (1, 2)]
+    values = _alphas(scheme, (1, 2))
     _expect(values == [5, 10], f"got {values}")
     return f"alpha table {values}"
 
@@ -376,7 +368,7 @@ def check_property_suite(instances=200, seed=2024):
     escalations = 0
     for case in range(instances):
         scheme = _random_instance(rng)
-        records = [alpha_symbolic(scheme, k) for k in (1, 2, 3)]
+        records = alpha_table(scheme, (1, 2, 3))
         values = [require_alpha(r) for r in records]
         escalations += sum(r.escalated for r in records)
         _expect(values[0] <= values[1] <= values[2],
@@ -396,9 +388,8 @@ def check_property_suite(instances=200, seed=2024):
         if case % 10 == 0:  # projective invariance, sampled for speed
             moved = transform_scheme(scheme, _random_change(rng,
                                                             scheme.ambient_dim))
-            for k in (1, 2):
-                _expect(_alpha(moved, k) == values[k - 1],
-                        f"projective invariance failed on case {case}, k={k}")
+            _expect(_alphas(moved, (1, 2)) == values[:2],
+                    f"projective invariance failed on case {case}")
     _expect(escalations == 0, f"{escalations} two-prime escalations")
     return f"{instances} instances, zero violations, zero escalations"
 

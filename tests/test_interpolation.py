@@ -11,6 +11,7 @@ from fatflats.interpolation import (
     AdaptedTablesQQ,
     Form,
     alpha_symbolic,
+    alpha_table,
     condition_row_count,
     default_degree_cap,
     form_product,
@@ -130,10 +131,20 @@ def test_condition_row_count_matches_blocks():
     p = DEFAULT_PRIMES[0]
     modp = AdaptedTablesModP(sub, p)
     rational = AdaptedTablesQQ(sub)
-    for d, kappa in [(2, 1), (3, 2), (4, 3), (2, 5)]:
+    for d, kappa in [(2, 1), (2, 5), (3, 2), (4, 3)]:
         expected = condition_row_count(sub.codim, kappa, d, 3)
         assert modp.block(d, kappa).shape[0] == expected
         assert len(rational.block(d, kappa)) == expected
+
+
+def test_tables_refuse_backward_requests():
+    sub = Subspace(3, [LinForm([1, 2, 3, 4]), LinForm([0, 1, 1, 0])])
+    for tables in (AdaptedTablesModP(sub, DEFAULT_PRIMES[0]),
+                   AdaptedTablesQQ(sub)):
+        tables.table(3)
+        tables.table(3)  # the same degree again is served as built
+        with pytest.raises(ValueError):
+            tables.table(2)
 
 
 def test_adapted_tables_expand_correctly():
@@ -367,3 +378,59 @@ def test_alpha_star_p3_table():
     assert membership(witness, scheme, 1)
     assert require_alpha(alpha_symbolic(scheme, 1)) == 3
     assert require_alpha(alpha_symbolic(scheme, 2)) == 4
+
+
+def test_alpha_table_validation(star25):
+    _, scheme = star25
+    for ks in ([0, 1], [2, 2], [3, 1]):
+        with pytest.raises(ValidationError):
+            alpha_table(scheme, ks)
+
+
+def test_alpha_table_builds_each_table_once(star25, monkeypatch):
+    """S_2(2,5) for k <= 4: each k starts past the previous answer, so the
+    first prime eliminates each degree 1..10 once and the second prime only
+    at the answers; each of the ten points gets one table per prime, built
+    up to degree 10."""
+    _, scheme = star25
+    eliminated = []
+    kernel_modp = interpolation._kernel_modp
+
+    def recording(tables, orders, d):
+        eliminated.append((tables[0].p, d))
+        return kernel_modp(tables, orders, d)
+
+    builds = []
+    build_next = AdaptedTablesModP._build_next
+
+    def counting(self):
+        builds.append(self)
+        build_next(self)
+
+    monkeypatch.setattr(interpolation, "_kernel_modp", recording)
+    monkeypatch.setattr(AdaptedTablesModP, "_build_next", counting)
+    table = alpha_table(scheme, range(1, 5))
+    assert [r.alpha for r in table] == [4, 5, 9, 10]
+    p1, p2 = DEFAULT_PRIMES
+    assert [d for p, d in eliminated if p == p1] == list(range(1, 11))
+    assert [d for p, d in eliminated if p == p2] == [4, 5, 9, 10]
+    assert len(builds) == 200 and len(set(map(id, builds))) == 20
+
+
+@pytest.mark.parametrize("q", DEFAULT_PRIMES)
+def test_alpha_table_matches_one_k_searches(q):
+    """The table gives each k the record of its own search from max(orders),
+    also when the second prime refutes every answer (q = p1: the points are
+    collinear mod p1, and alpha is 2, 3, 5 over Q) and under a cap that
+    leaves k = 3 unresolved."""
+    scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, q, 1)],
+                         [1, 1, 1]).to_scheme()
+    for mode, cap in (("modp", None), ("rational", None), ("modp", 4)):
+        table = alpha_table(scheme, (1, 2, 3), mode=mode, degree_cap=cap)
+        single = [alpha_symbolic(scheme, k, mode=mode, degree_cap=cap)
+                  for k in (1, 2, 3)]
+        assert table == single
+        expected = [2, 3, None] if cap else [2, 3, 5]
+        assert [r.alpha for r in table] == expected
+        if mode == "modp":
+            assert all(r.escalated == (q == DEFAULT_PRIMES[0]) for r in table)

@@ -128,6 +128,16 @@ def test_rank_kernel_rational_empty_needs_ncols():
     assert rank == 0 and kernel[0] == 1
 
 
+def test_rank_kernel_rational_kernel_holds_only_fractions():
+    # A pivot with no nonzero kernel entry after it back-substitutes an
+    # empty sum; that entry must still be exact.
+    for rows, expected in (([[1, 0, 0], [0, 0, 1]], [0, 1, 0]),
+                           ([[0, 1, 1]], [1, 0, 0])):
+        kernel = rank_kernel_rational(rows)[1]
+        assert kernel == expected
+        assert all(type(x) is Fraction for x in kernel)
+
+
 def test_rank_kernel_rational_deterministic():
     rows = [[1, 2, 3, 4], [0, 1, 1, 1]]
     k1 = rank_kernel_rational(rows)[1]
