@@ -44,6 +44,7 @@ from .serialization import (
     points_from_dict,
     points_to_dict,
     report_to_dict,
+    require_int,
     scheme_to_dict,
 )
 from .verification import run_checks
@@ -70,22 +71,17 @@ def _primes_option(value):
     return tuple(check_field_prime(p) for p in parts)
 
 
-def _grid_int(grid, key, default):
-    value = grid.get(key, default)
-    if value is not None and (not isinstance(value, int)
-                              or isinstance(value, bool)):
-        raise ValidationError(f"grid {key!r} must be an integer, "
-                              f"not {value!r}")
-    return value
-
-
 def _grid_ints(grid, key, default):
     values = grid.get(key, default)
-    if not isinstance(values, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if not isinstance(values, list):
         raise ValidationError(f"grid {key!r} must be a list of integers, "
                               f"not {values!r}")
-    return sorted(values)
+    return sorted(require_int(v, f"grid {key!r} entry") for v in values)
+
+
+def _given(value, default):
+    """An option whose default depends on the kind; an explicit 0 stays."""
+    return default if value is None else value
 
 
 def _emit(data: dict, output):
@@ -126,14 +122,14 @@ def main():
     ["star", "fatflat", "theorem-a", "quasi-star", "rational-target",
      "thmb-family"]))
 @click.option("--n", type=int, default=None, help="ambient dimension N")
-@click.option("--e", type=int, default=None)
+@click.option("--e", type=int, default=2)
 @click.option("--s", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--t", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--a", type=int, default=None)
-@click.option("--b", type=int, default=None)
-@click.option("--case", "case_id", default=None,
+@click.option("--m", type=int, default=1)
+@click.option("--t", type=int, default=1)
+@click.option("--d", type=int, default=4)
+@click.option("--a", type=int, default=2)
+@click.option("--b", type=int, default=5)
+@click.option("--case", "case_id", default="a",
               help="thmb-family case: a|b|c|wprime|zprime|z|wsecond|vprime")
 @click.option("--r", type=int, default=None)
 @click.option("--seed", type=int, default=0)
@@ -141,21 +137,20 @@ def main():
 def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
     """Construct a named configuration and write its JSON."""
     def go():
-        if kind == "star":
-            _, scheme = star_configuration(n or 2, e or 2, s or 3, seed=seed)
+        if kind in ("star", "fatflat"):
+            star, scheme = star_configuration(_given(n, 2), e, _given(s, 3),
+                                              seed=seed)
+            if kind == "fatflat":
+                scheme = build_fat_flat(star, m)
             return scheme_to_dict(scheme)
-        if kind == "fatflat":
-            star, _ = star_configuration(n or 2, e or 2, s or 3, seed=seed)
-            return scheme_to_dict(build_fat_flat(star, m or 1))
         if kind == "theorem-a":
-            scheme = build_theorem_a(n or 3, d or 4, s or 4, t or 1, e or 2,
+            scheme = build_theorem_a(_given(n, 3), d, _given(s, 4), t, e,
                                      seed=seed)
             return scheme_to_dict(scheme)
         if kind == "quasi-star":
-            return scheme_to_dict(build_quasi_star(s or 3, seed=seed))
+            return scheme_to_dict(build_quasi_star(_given(s, 3), seed=seed))
         if kind == "rational-target":
-            return scheme_to_dict(build_rational_target(a or 2, b or 5, N=n,
-                                                        seed=seed))
+            return scheme_to_dict(build_rational_target(a, b, N=n, seed=seed))
         params = {}
         if r is not None:
             params["r"] = r
@@ -163,7 +158,7 @@ def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
             params["s"] = s
         if n is not None:
             params["n"] = n
-        config = build_theorem_b_family(case_id or "a", params, seed=seed)
+        config = build_theorem_b_family(case_id, params, seed=seed)
         return points_to_dict(config)
 
     _emit(_run(go), output)
@@ -319,8 +314,10 @@ def sweep(grid_file, seed, primes, output_dir):
         if not isinstance(grid, dict):
             raise ValidationError("a sweep grid is a JSON object")
         ps = _primes_option(primes)
-        k_max = _grid_int(grid, "k_max", 2)
-        cap = _grid_int(grid, "cap", None)
+        k_max = require_int(grid.get("k_max", 2), "grid 'k_max'")
+        cap = grid.get("cap")
+        if cap is not None:
+            require_int(cap, "grid 'cap'")
         ns, es, ss, ms = (_grid_ints(grid, key, default) for key, default in
                           (("N", [2]), ("e", [2]), ("s", [3]), ("m", [1])))
         rows = []

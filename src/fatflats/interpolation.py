@@ -157,8 +157,7 @@ class AdaptedTablesQQ(_NewestDegree):
     def __init__(self, sub: Subspace):
         self.nvars = sub.ambient_dim + 1
         self.e = sub.codim
-        change = complete_basis(sub)
-        self.B = [list(row) for row in change.inverse]
+        self.B = [list(row) for row in complete_basis(sub).inverse]
         zero = (0,) * self.nvars
         self._degree, self._table = 0, {zero: {zero: Fraction(1)}}
 
@@ -359,7 +358,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     (Euler), of order >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
     alpha(I^(k)) >= alpha(I^(k-1)) + 1 >= alpha(I^(j)) + k - j.
     """
-    if any(j >= k for j, k in zip([0, *ks], ks)):
+    if not ks or any(j >= k for j, k in zip([0, *ks], ks)):
         raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
     if degree_cap is not None and degree_cap < 1:
         raise ValidationError("degree cap must be >= 1")

@@ -3,13 +3,15 @@
 Hyperplanes are linear forms up to scale, linear subspaces are given by
 independent defining forms, and everything is canonicalized so that
 equality of subspaces is syntactic equality of the reduced row echelon
-form of their defining-form matrices.
+form (RREF) of their defining-form matrices.  A subspace's points and its
+adapted inverse are read off that RREF without a second elimination.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GenericityError, RankDeficiencyError, ValidationError
 from .linalg import invert_matrix, matrix_rank, rref_fractions
@@ -74,6 +76,26 @@ class Subspace:
     def is_point(self) -> bool:
         return self.codim == self.ambient_dim
 
+    @cached_property
+    def pivots(self) -> tuple:
+        """The leading column of each canonical form."""
+        return tuple(next(c for c, x in enumerate(f.coeffs) if x != 0)
+                     for f in self.forms)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """One point per non-pivot column c: 1 at c, -form_i[c] at the
+        pivot of form i, 0 elsewhere.  Form i is 1 at its own pivot and 0
+        at the other pivots, so every form vanishes on it."""
+        n = self.ambient_dim + 1
+        out = []
+        for c in (c for c in range(n) if c not in self.pivots):
+            v = [Fraction(int(j == c)) for j in range(n)]
+            for f, piv in zip(self.forms, self.pivots):
+                v[piv] = -f.coeffs[c]
+            out.append(tuple(v))
+        return tuple(out)
+
     def contains_point(self, coords) -> bool:
         return all(f.evaluate(coords) == 0 for f in self.forms)
 
@@ -106,38 +128,28 @@ def intersect_hyperplanes(forms, indices):
 def complete_basis(sub: Subspace) -> CoordChange:
     """Extend the defining forms to an invertible (N+1)x(N+1) matrix.
 
-    Coordinate unit rows are appended greedily, one per non-pivot column
-    of the form matrix, in increasing column order.
+    Coordinate unit rows are appended, one per non-pivot column of the
+    form matrix, in increasing column order.  The inverse's columns are
+    the unit vectors at the pivots, then ``sub.basis``.  Proof: form i is
+    1 at its own pivot, 0 at the others and on ``sub.basis``; unit row c
+    is 0 at every pivot and, on ``sub.basis``, 1 only at column c's vector.
     """
     n = sub.ambient_dim + 1
-    rows = [list(f.coeffs) for f in sub.forms]
-    _, pivots = rref_fractions(rows)
-    pivot_set = set(pivots)
-    for c in range(n):
-        if c not in pivot_set:
-            rows.append([Fraction(int(j == c)) for j in range(n)])
-    inv = invert_matrix(rows)
-    if inv is None:  # cannot happen for independent forms + complement rows
-        raise RankDeficiencyError("completion failed")
-    matrix = tuple(tuple(x for x in row) for row in rows)
-    inverse = tuple(tuple(x for x in row) for row in inv)
-    return CoordChange(matrix=matrix, inverse=inverse)
+    units = [tuple(Fraction(int(j == c)) for j in range(n)) for c in range(n)]
+    matrix = tuple(f.coeffs for f in sub.forms) + tuple(
+        units[c] for c in range(n) if c not in sub.pivots)
+    columns = [units[piv] for piv in sub.pivots] + list(sub.basis)
+    return CoordChange(matrix=matrix, inverse=tuple(zip(*columns)))
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is contained in a as projective sets.
 
-    Set-theoretically b ⊆ a iff every defining form of a lies in the
-    span of b's defining forms.
+    Set-theoretically b ⊆ a iff a contains every vector spanning b.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValidationError("ambient dimension mismatch")
-    base = [list(f.coeffs) for f in b.forms]
-    r = len(base)
-    for f in a.forms:
-        if matrix_rank(base + [list(f.coeffs)]) != r:
-            return False
-    return True
+    return all(a.contains_point(v) for v in b.basis)
 
 
 # -- points in P^N as codimension-N subspaces --------------------------------
@@ -168,15 +180,7 @@ def point_coords(sub: Subspace):
     """Coordinates of a point given as a codim-N subspace."""
     if not sub.is_point:
         raise ValidationError("subspace is not a point")
-    n = sub.ambient_dim
-    rows = [list(f.coeffs) for f in sub.forms]
-    red, pivots = rref_fractions(rows)
-    free = next(c for c in range(n + 1) if c not in pivots)
-    coords = [Fraction(0)] * (n + 1)
-    coords[free] = Fraction(1)
-    for row, c in zip(red, pivots):
-        coords[c] = -sum(row[j] * coords[j] for j in range(c + 1, n + 1))
-    return normalize_point(coords)
+    return normalize_point(sub.basis[0])
 
 
 def line_through(p, q) -> LinForm:
@@ -243,23 +247,15 @@ def random_point_on(sub: Subspace, rng, avoid=()):
     subspace in ``avoid``.  Coefficients stay small for cheap arithmetic."""
     if sub.is_point:
         raise ValidationError("subspace has no moduli for point choice")
-    n = sub.ambient_dim
-    rows = [list(f.coeffs) for f in sub.forms]
-    red, pivots = rref_fractions(rows)
-    free = [c for c in range(n + 1) if c not in pivots]
     for _ in range(_MAX_RETRIES):
-        weights = [rng.randint(-_COEFF_RANGE, _COEFF_RANGE) for _ in free]
+        weights = [rng.randint(-_COEFF_RANGE, _COEFF_RANGE)
+                   for _ in sub.basis]
         if not any(weights):
             continue
-        coords = [Fraction(0)] * (n + 1)
-        for c, w in zip(free, weights):
-            coords[c] = Fraction(w)
-        for row, c in zip(red, pivots):
-            coords[c] = -sum(row[j] * coords[j] for j in range(c + 1, n + 1))
-        if any(coords):
-            pt = normalize_point(coords)
-            if all(not other.contains_point(pt) for other in avoid):
-                return pt
+        pt = normalize_point([sum(w * x for w, x in zip(weights, col))
+                              for col in zip(*sub.basis)])
+        if all(not other.contains_point(pt) for other in avoid):
+            return pt
     raise GenericityError("could not find a point avoiding the given loci")
 
 

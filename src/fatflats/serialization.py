@@ -18,6 +18,14 @@ from .schemes import FatComponent, FatFlatScheme, FatPointsP2
 _KINDS = {"E": "E", "line": "line", "conic": "conic"}
 
 
+def require_int(value, what):
+    """An integer field of an input file: a bool, float or string is an
+    error, not something to cast."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 # -- schemes -------------------------------------------------------------------
 
 def scheme_to_dict(scheme: FatFlatScheme) -> dict:
@@ -40,19 +48,22 @@ def scheme_to_dict(scheme: FatFlatScheme) -> dict:
 
 def scheme_from_dict(data: dict) -> FatFlatScheme:
     try:
-        n = int(data["ambient_dim"])
+        n = require_int(data["ambient_dim"], "ambient_dim")
         comps = []
         for entry in data["components"]:
             forms = [LinForm([parse_scalar(c) for c in row])
                      for row in entry["forms"]]
-            comps.append(FatComponent(Subspace(n, forms),
-                                      int(entry["multiplicity"]),
+            mult = require_int(entry["multiplicity"], "multiplicity")
+            comps.append(FatComponent(Subspace(n, forms), mult,
                                       entry.get("label", "")))
         core = data.get("star_core")
-        star_core = (core["e"], core["s"], core["m"]) if core else None
+        star_core = tuple(require_int(core[key], f"star_core {key}")
+                          for key in "esm") if core else None
+        predicted = data.get("predicted_alpha_multiple")
+        if predicted is not None:
+            require_int(predicted, "predicted_alpha_multiple")
         return FatFlatScheme(n, tuple(comps), star_core=star_core,
-                             predicted_alpha_multiple=data.get(
-                                 "predicted_alpha_multiple"))
+                             predicted_alpha_multiple=predicted)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scheme JSON: {exc}") from exc
 
@@ -67,7 +78,8 @@ def points_to_dict(config: FatPointsP2) -> dict:
 def points_from_dict(data: dict) -> FatPointsP2:
     try:
         pts = [[parse_scalar(x) for x in p] for p in data["points"]]
-        return FatPointsP2(pts, [int(m) for m in data["multiplicities"]])
+        return FatPointsP2(pts, [require_int(m, "multiplicity")
+                                 for m in data["multiplicities"]])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed points JSON: {exc}") from exc
 
@@ -96,8 +108,8 @@ def form_to_dict(form: Form) -> dict:
 
 def form_from_dict(data: dict) -> Form:
     try:
-        n = int(data["ambient_dim"])
-        d = int(data["degree"])
+        n = require_int(data["ambient_dim"], "ambient_dim")
+        d = require_int(data["degree"], "degree")
         coeffs = {tuple(int(x) for x in key.split(",")): parse_scalar(val)
                   for key, val in data["coeffs"].items()}
         return Form.from_dict(n, d, coeffs)
@@ -119,10 +131,13 @@ def certificate_to_dict(cert: NefCertificate) -> dict:
 
 def certificate_from_dict(data: dict) -> NefCertificate:
     try:
-        divisor = DivisorClass(int(data["t"]), [int(x) for x in data["drops"]])
+        divisor = DivisorClass(require_int(data["t"], "t"),
+                               [require_int(x, "drop") for x in data["drops"]])
         decomposition = tuple(
-            (ComponentClass(_KINDS[entry["kind"]], entry["points"]),
-             int(entry["coeff"]))
+            (ComponentClass(_KINDS[entry["kind"]],
+                            [require_int(i, "component point")
+                             for i in entry["points"]]),
+             require_int(entry["coeff"], "coeff"))
             for entry in data["decomposition"])
         return NefCertificate(divisor=divisor, decomposition=decomposition)
     except (KeyError, TypeError) as exc:

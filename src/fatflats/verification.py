@@ -44,9 +44,10 @@ from .interpolation import (
 from .linalg import (
     invert_matrix,
     rank_kernel_rational,
-    rref_fractions,
 )
 from .projective import (
+    LinForm,
+    Subspace,
     hyperplane_subspace,
     line_through,
     point_subspace,
@@ -149,16 +150,7 @@ def _line_restriction_oracle(hyperplanes, degree):
     mons = monomial_basis(n + 1, degree)
     rows = []
     for h1, h2 in itertools.combinations(hyperplanes, 2):
-        rref, pivots = rref_fractions([[Fraction(c) for c in h1.coeffs],
-                                       [Fraction(c) for c in h2.coeffs]])
-        basis = []
-        for free in (j for j in range(n + 1) if j not in pivots):
-            v = [Fraction(0)] * (n + 1)
-            v[free] = Fraction(1)
-            for row, piv in zip(rref, pivots):
-                v[piv] = -row[free]
-            basis.append(v)
-        a, b = basis
+        a, b = Subspace(n, (h1, h2)).basis
         for t in range(degree + 1):
             pt = [ai + t * bi for ai, bi in zip(a, b)]
             rows.append([_monomial_eval(pt, m) for m in mons])
@@ -335,7 +327,6 @@ def _random_instance(rng):
                     comps.append(FatComponent(point_subspace(p),
                                               rng.randint(1, 2)))
             else:
-                from .projective import LinForm, Subspace
                 n_lines = rng.randint(0, min(2, n_comp))
                 for _ in range(n_lines):
                     forms = [LinForm([rng.randint(-4, 4) for _ in range(4)])

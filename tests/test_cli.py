@@ -87,6 +87,20 @@ def test_alpha_missing_file_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def _scheme_json(multiplicity=1, **top):
+    """Two fat points of P^2, with some fields replaced."""
+    data = {"ambient_dim": 2, "components": [
+        {"forms": [[1, 0, 0], [0, 1, 0]], "multiplicity": multiplicity},
+        {"forms": [[0, 1, 0], [0, 0, 1]], "multiplicity": 1}]}
+    data.update(top)
+    return json.dumps(data)
+
+
+def _points_json(multiplicities):
+    return json.dumps({"points": [[1, 0, 0], [0, 1, 0]],
+                       "multiplicities": multiplicities})
+
+
 @pytest.mark.parametrize("command,content,extra", [
     ("alpha", "{\"components\": [", []),
     ("alpha", "5", []),
@@ -99,11 +113,23 @@ def test_alpha_missing_file_exit_2(runner, tmp_path):
     ("alpha", None, ["--primes", "2147483647,2147483647"]),
     ("sweep", json.dumps({"k_max": True}), []),
     ("sweep", json.dumps({"k_max": 2.7}), []),
+    ("alpha", _scheme_json(ambient_dim="x"), []),
+    ("alpha", _scheme_json(multiplicity=True), []),
+    ("alpha", _scheme_json(multiplicity=1.9), []),
+    ("bounds", _scheme_json(star_core={"e": "2", "s": 4, "m": 1}), []),
+    ("alpha", _scheme_json(predicted_alpha_multiple=2.5), []),
+    ("classify", _points_json(multiplicities=["two", 1]), []),
+    ("classify", _points_json(multiplicities=[2.7, 1]), []),
+    ("alpha", None, ["--k-min", "3", "--k-max", "1"]),
+    ("sweep", json.dumps({"k_max": None}), []),
 ], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
         "sweep-k-max-not-integer", "sweep-grid-not-object",
         "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
         "sweep-grid-entry-boolean", "primes-equal", "sweep-k-max-boolean",
-        "sweep-k-max-float"])
+        "sweep-k-max-float", "ambient-dim-string", "multiplicity-boolean",
+        "multiplicity-float", "star-core-string", "predicted-alpha-float",
+        "points-multiplicity-string", "points-multiplicity-float",
+        "alpha-empty-k-range", "sweep-k-max-null"])
 def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
                           extra):
     path = star_file
@@ -117,6 +143,36 @@ def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
     assert result.exit_code == 2
     assert any(line.startswith("error: ")
                for line in result.output.splitlines())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("t", "x"), ("drops", [1, 1.5]), ("coeff", True), ("points", ["0", 1]),
+], ids=["t-string", "drop-float", "coeff-boolean", "point-string"])
+def test_bad_certificate_exit_2(runner, tmp_path, field, value):
+    """The line through two points, L - E_1 - E_2, with one field made
+    non-integral; nef-check also needs the points file."""
+    cert = {"t": 1, "drops": [1, 1],
+            "decomposition": [{"kind": "line", "points": [0, 1],
+                               "coeff": 1}]}
+    if field in cert:
+        cert[field] = value
+    else:
+        cert["decomposition"][0][field] = value
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    points_path = tmp_path / "points.json"
+    points_path.write_text(_points_json([1, 1]))
+    result = runner.invoke(main, ["nef-check", str(cert_path),
+                                  str(points_path)])
+    assert result.exit_code == 2
+    assert "must be an integer" in result.output
+
+
+@pytest.mark.parametrize("kind,option", [("star", "--n"), ("fatflat", "--m")])
+def test_build_explicit_zero_exit_2(runner, kind, option):
+    """0 is not replaced by the option's default."""
+    result = runner.invoke(main, ["build", kind, option, "0"])
+    assert result.exit_code == 2
 
 
 def test_bounds_star_core_exact(runner, tmp_path):

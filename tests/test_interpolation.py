@@ -382,7 +382,7 @@ def test_alpha_star_p3_table():
 
 def test_alpha_table_validation(star25):
     _, scheme = star25
-    for ks in ([0, 1], [2, 2], [3, 1]):
+    for ks in ([0, 1], [2, 2], [3, 1], [], range(3, 2)):
         with pytest.raises(ValidationError):
             alpha_table(scheme, ks)
 

@@ -2,11 +2,17 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fatflats.interpolation import alpha_symbolic, membership, require_alpha
-from fatflats.linalg import invert_matrix, rank_kernel_rational
-from fatflats.projective import LinForm, normalize_point
+from fatflats.linalg import invert_matrix, matrix_rank, rank_kernel_rational
+from fatflats.projective import (
+    LinForm,
+    Subspace,
+    complete_basis,
+    normalize_point,
+    subspace_contains,
+)
 from fatflats.scalars import encode_scalar, parse_scalar
 from fatflats.schemes import FatPointsP2, transform_scheme
 from fatflats.serialization import points_from_dict, points_to_dict
@@ -21,6 +27,22 @@ def planar_configs(draw):
     mults = draw(st.lists(st.integers(min_value=1, max_value=2),
                           min_size=n, max_size=n))
     return FatPointsP2([(x, y, 1) for x, y in sorted(pts)], mults)
+
+
+@st.composite
+def flat_pairs(draw):
+    """Two flats of one P^N, N = 2..4, cut out by independent integer
+    forms; half the time b's forms extend a's, so that b lies in a."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    form = st.lists(coords, min_size=n + 1, max_size=n + 1)
+    rows_a = draw(st.lists(form, min_size=1, max_size=n))
+    rows_b = draw(st.lists(form, min_size=1, max_size=n))
+    if draw(st.booleans()):
+        rows_b = (rows_a + rows_b)[:n]
+    for rows in (rows_a, rows_b):
+        assume(matrix_rank(rows) == len(rows))
+    return (Subspace(n, [LinForm(r) for r in rows_a]),
+            Subspace(n, [LinForm(r) for r in rows_b]))
 
 
 def invertible_3x3():
@@ -104,3 +126,20 @@ def test_rational_kernel_annihilates(rows):
             assert sum(Fraction(a) * b for a, b in zip(row, kernel)) == 0
     else:
         assert rank == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_pairs())
+def test_flat_readout_matches_elimination(pair):
+    """The basis and adapted inverse read off the canonical forms agree
+    with a fresh elimination."""
+    a, b = pair
+    for sub in pair:
+        change = complete_basis(sub)
+        assert [list(row) for row in change.inverse] == \
+            invert_matrix([list(row) for row in change.matrix])
+        assert len(sub.basis) == sub.ambient_dim + 1 - sub.codim
+        assert all(f.evaluate(v) == 0 for f in sub.forms for v in sub.basis)
+    base = [list(f.coeffs) for f in b.forms]
+    assert subspace_contains(a, b) == all(
+        matrix_rank(base + [list(f.coeffs)]) == b.codim for f in a.forms)

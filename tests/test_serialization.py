@@ -68,6 +68,9 @@ def test_malformed_inputs_raise_validation():
     with pytest.raises(ValidationError):
         form_from_dict({"ambient_dim": 2, "degree": 1})
     with pytest.raises(ValidationError):
+        form_from_dict({"ambient_dim": 2, "degree": 1.9,
+                        "coeffs": {"1,0,0": 1}})
+    with pytest.raises(ValidationError):
         certificate_from_dict({"t": 1})
 
 
