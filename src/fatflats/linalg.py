@@ -1,9 +1,10 @@
 """Exact elimination kernels.
 
-Two independent routes are kept on purpose: fraction-free (Bareiss)
-elimination over the integers for the rational lane, and blocked
+One eliminator per field, independent on purpose: fraction-free (Bareiss)
+elimination over the integers for Q, whose echelon form gives the RREF,
+rank, inverse and kernel by one back-substitution, and blocked
 elimination over F_p for the fast lane.  Pivot order is deterministic
-(leftmost column, topmost row) so kernel vectors are reproducible.
+(leftmost column, topmost nonzero row) so kernel vectors are reproducible.
 
 The F_p kernel works on int64 residues of a prime p < 2^31.  Its block
 products run as float64 BLAS matrix products on integers: each product
@@ -13,61 +14,16 @@ operand is split into 16-bit limbs, so every partial sum stays below
 mod p; no rounded value is ever used.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 
-def rref_fractions(rows):
-    """Reduced row echelon form over Q.
-
-    Returns (rref_rows, pivot_cols).  Input rows are not modified.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def matrix_rank(rows) -> int:
-    return len(rref_fractions(rows)[1])
-
-
-def invert_matrix(rows):
-    """Exact inverse of a square rational matrix, or None if singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = rref_fractions(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 def _clear_row_denominators(row):
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def bareiss_echelon(rows):
@@ -102,34 +58,71 @@ def bareiss_echelon(rows):
     return m[:r], pivots
 
 
+def _solve_pivots(ech, pivots, k, col):
+    """Solve the upper triangle of the first k pivot columns of the
+    echelon rows against their column ``col``, as Fractions.  By Cramer's
+    rule d * x is integral, d the k-th Bareiss pivot, so back-substitution
+    runs on the integers d * x with exact divisions."""
+    if not k:
+        return []
+    d = ech[k - 1][pivots[k - 1]]
+    y = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = ech[i]
+        s = d * row[col] - sum(row[pivots[l]] * y[l] for l in range(i + 1, k))
+        y[i] = s // row[pivots[i]]
+    return [Fraction(v, d) for v in y]
+
+
+def rref_fractions(rows):
+    """Reduced row echelon form over Q: (rref_rows, pivot_cols), entries
+    Fractions; input rows are not modified.  Column c of the RREF solves
+    the pivot columns at or left of c against column c of the Bareiss
+    echelon rows."""
+    ech, pivots = bareiss_echelon(rows)
+    red = [[Fraction(0)] * len(row) for row in ech]
+    for c in range(len(ech[0]) if ech else 0):
+        for row, x in zip(red, _solve_pivots(ech, pivots,
+                                             bisect_right(pivots, c), c)):
+            row[c] = x
+    return red, pivots
+
+
+def matrix_rank(rows) -> int:
+    return len(bareiss_echelon(rows)[1])
+
+
+def invert_matrix(rows):
+    """Exact inverse of a square rational matrix, or None if singular:
+    the right half of the RREF of ``[M | I]``."""
+    n = len(rows)
+    red, pivots = rref_fractions([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
 def rank_kernel_rational(rows, ncols=None):
     """Exact rank and one deterministic kernel vector over Q.
 
     Returns (rank, kernel) where kernel is a list of Fractions or None
     when the matrix has full column rank.  The kernel vector sets the
-    first free column to 1 and all other free columns to 0.
+    first free column to 1 and all other free columns to 0.  The columns
+    left of it are the Bareiss pivots 0..free-1, and its entry at pivot i
+    is -x_i, x their upper triangle solved against the free column.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("empty matrix needs explicit ncols")
-        kernel = [Fraction(0)] * ncols
-        kernel[0] = Fraction(1)
-        return 0, kernel
-    ncols = len(rows[0])
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("empty matrix needs explicit ncols")
     ech, pivots = bareiss_echelon(rows)
     rank = len(pivots)
     if rank == ncols:
         return rank, None
-    pivot_set = set(pivots)
-    free = next(c for c in range(ncols) if c not in pivot_set)
-    kernel = [Fraction(0)] * ncols
-    kernel[free] = Fraction(1)
-    # Back-substitute through the integer echelon rows.
-    for i in range(rank - 1, -1, -1):
-        c = pivots[i]
-        s = sum(Fraction(ech[i][j]) * kernel[j] for j in range(c + 1, ncols)
-                if kernel[j] != 0)
-        kernel[c] = Fraction(-s, ech[i][c])
+    free = next((i for i, c in enumerate(pivots) if i != c), rank)
+    kernel = [-x for x in _solve_pivots(ech, pivots, free, free)]
+    kernel += [Fraction(1)] + [Fraction(0)] * (ncols - free - 1)
     return rank, kernel
 
 

@@ -91,6 +91,8 @@ class FatPointsP2:
         mults = tuple(int(m) for m in multiplicities)
         if len(pts) != len(mults) or not pts:
             raise ValidationError("need equally many points and multiplicities")
+        if any(len(p) != 3 for p in pts):
+            raise ValidationError("points of P^2 need exactly three coordinates")
         if len(set(pts)) != len(pts):
             raise ValidationError("points must be pairwise distinct")
         if any(m < 1 for m in mults):

@@ -110,6 +110,8 @@ def form_from_dict(data: dict) -> Form:
     try:
         n = require_int(data["ambient_dim"], "ambient_dim")
         d = require_int(data["degree"], "degree")
+        if not isinstance(data["coeffs"], dict):
+            raise TypeError(f"coeffs must be an object, not {data['coeffs']!r}")
         coeffs = {tuple(int(x) for x in key.split(",")): parse_scalar(val)
                   for key, val in data["coeffs"].items()}
         return Form.from_dict(n, d, coeffs)

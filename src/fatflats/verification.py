@@ -41,10 +41,7 @@ from .interpolation import (
     multiply_forms,
     require_alpha,
 )
-from .linalg import (
-    invert_matrix,
-    rank_kernel_rational,
-)
+from .linalg import matrix_rank, rank_kernel_rational
 from .projective import (
     LinForm,
     Subspace,
@@ -347,7 +344,7 @@ def _random_change(rng, n):
     while True:
         matrix = [[rng.randint(-3, 3) for _ in range(n + 1)]
                   for _ in range(n + 1)]
-        if invert_matrix(matrix) is not None:
+        if matrix_rank(matrix) == n + 1:
             return matrix
 
 

@@ -96,8 +96,8 @@ def _scheme_json(multiplicity=1, **top):
     return json.dumps(data)
 
 
-def _points_json(multiplicities):
-    return json.dumps({"points": [[1, 0, 0], [0, 1, 0]],
+def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
+    return json.dumps({"points": list(points),
                        "multiplicities": multiplicities})
 
 
@@ -122,6 +122,10 @@ def _points_json(multiplicities):
     ("classify", _points_json(multiplicities=[2.7, 1]), []),
     ("alpha", None, ["--k-min", "3", "--k-max", "1"]),
     ("sweep", json.dumps({"k_max": None}), []),
+    ("classify", _points_json([2, 2, 1], points=([1, 0], [0, 1], [1, 1])),
+     []),
+    ("classify", _points_json([2, 1], points=([1, 0, 0, 0], [0, 1, 0, 1])),
+     []),
 ], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
         "sweep-k-max-not-integer", "sweep-grid-not-object",
         "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
@@ -129,7 +133,8 @@ def _points_json(multiplicities):
         "sweep-k-max-float", "ambient-dim-string", "multiplicity-boolean",
         "multiplicity-float", "star-core-string", "predicted-alpha-float",
         "points-multiplicity-string", "points-multiplicity-float",
-        "alpha-empty-k-range", "sweep-k-max-null"])
+        "alpha-empty-k-range", "sweep-k-max-null", "points-two-coordinates",
+        "points-four-coordinates"])
 def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
                           extra):
     path = star_file

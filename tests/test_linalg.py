@@ -58,6 +58,104 @@ def _reference_gauss_jordan(mat, p):
     return rank, kernel
 
 
+def _reference_rref(rows):
+    """The former ``rref_fractions``: Fraction Gauss-Jordan that clears
+    each pivot column above and below.  Same pivot rule (leftmost column,
+    topmost nonzero row), and the RREF is unique, so results must agree
+    exactly."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _reference_kernel(rows, ncols):
+    """Rank and normalised kernel vector (first free column 1, the other
+    free columns 0) read off ``_reference_rref``."""
+    red, pivots = _reference_rref(rows)
+    if len(pivots) == ncols:
+        return len(pivots), None
+    free = next(c for c in range(ncols) if c not in pivots)
+    kernel = [Fraction(0)] * ncols
+    kernel[free] = Fraction(1)
+    for row, c in zip(red, pivots):
+        kernel[c] = -row[free]
+    return len(pivots), kernel
+
+
+def _rational_cases():
+    """Named and seeded rational matrices for the Bareiss read-outs."""
+    rng = random.Random(1968)
+    cases = {
+        "empty": [],
+        "no-columns": [[], []],
+        "zero-rows": [[0, 0, 0], [0, 0, 0]],
+        "zero-row-and-columns": [[0, 0, 2, 0, 1], [0, 0, 0, 0, 0],
+                                 [0, 0, 4, 0, 3]],
+        "dependent-rows": [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+        "negative-pivots": [[-2, 1, 3], [1, -3, 1], [4, 1, -5]],
+        "fractions": [[Fraction(1, 2), Fraction(-2, 3), 1],
+                      [Fraction(3, 4), Fraction(5, 6), Fraction(-7, 9)]],
+        "one-row": [[0, 0, 3, -1]],
+        "one-column": [[0], [0], [Fraction(-5, 3)], [2]],
+    }
+    for t in range(240):
+        nrows, ncols = rng.choice([(3, 7), (7, 3), (5, 5), (4, 6), (6, 2)])
+        rows = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7]))
+                 if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if t % 3 == 0 and nrows > 1:
+            # A combination of the other rows: rank deficient.
+            rows[rng.randrange(nrows)] = [
+                sum(rng.randint(-2, 2) * row[j] for row in rows)
+                for j in range(ncols)]
+        cases[f"random-{t}-{nrows}x{ncols}"] = rows
+    return cases
+
+
+def test_rational_readouts_match_reference():
+    negative_pivots = 0
+    for name, rows in _rational_cases().items():
+        ref_red, ref_pivots = _reference_rref(rows)
+        red, pivots = rref_fractions(rows)
+        assert (red, pivots) == (ref_red, ref_pivots), name
+        assert all(type(x) is Fraction for row in red for x in row), name
+        assert matrix_rank(rows) == len(ref_pivots), name
+        ncols = len(rows[0]) if rows else 3
+        rank, kernel = rank_kernel_rational(rows, ncols=ncols)
+        assert (rank, kernel) == _reference_kernel(rows, ncols), name
+        assert kernel is None or all(type(x) is Fraction for x in kernel)
+        if len(rows) == ncols:
+            aug = [list(row) + [int(i == j) for j in range(ncols)]
+                   for i, row in enumerate(rows)]
+            ref_aug, aug_pivots = _reference_rref(aug)
+            expected = ([row[ncols:] for row in ref_aug]
+                        if aug_pivots[:ncols] == list(range(ncols)) else None)
+            assert invert_matrix(rows) == expected, name
+        ech, pivots = bareiss_echelon(rows)
+        negative_pivots += any(row[c] < 0 for row, c in zip(ech, pivots))
+    # The exact divisions must hold for negative Bareiss pivots too.
+    assert negative_pivots >= 20
+
+
 def test_rref_identity():
     rows = [[2, 0, 0], [0, 3, 0], [0, 0, -1]]
     red, pivots = rref_fractions(rows)
@@ -97,7 +195,7 @@ def test_bareiss_entries_are_integers_and_rank_matches():
                  for _ in range(5)] for _ in range(4)]
         ech, pivots = bareiss_echelon(rows)
         assert all(isinstance(x, int) for row in ech for x in row)
-        assert len(pivots) == matrix_rank(rows)
+        assert len(pivots) == len(_reference_rref(rows)[1])
 
 
 def test_rank_kernel_rational_kernel_annihilates():
@@ -107,7 +205,7 @@ def test_rank_kernel_rational_kernel_annihilates():
         rows = [[rng.randint(-5, 5) for _ in range(ncols)]
                 for _ in range(nrows)]
         rank, kernel = rank_kernel_rational(rows)
-        assert rank == matrix_rank(rows)
+        assert rank == len(_reference_rref(rows)[1])
         if kernel is None:
             assert rank == ncols
         else:

@@ -72,6 +72,9 @@ def test_malformed_inputs_raise_validation():
                         "coeffs": {"1,0,0": 1}})
     with pytest.raises(ValidationError):
         certificate_from_dict({"t": 1})
+    for coeffs in ([], "x"):
+        with pytest.raises(ValidationError):
+            form_from_dict({"ambient_dim": 2, "degree": 1, "coeffs": coeffs})
 
 
 def test_form_roundtrip():
