@@ -6,22 +6,26 @@ with degree < kappa in the first e adapted variables has coefficient
 zero.  Each original monomial is expanded in adapted coordinates by
 multinomial expansion; the expansions are built incrementally (degree by
 degree, one linear multiplication each), which is what keeps the search
-over candidate degrees cheap.
+over candidate degrees cheap.  A point needs no expansion: in the F_p
+lane its conditions are its Hasse derivatives of order
+min(kappa, d + 1) - 1, whose entries are integers in closed form at any
+degree (see :func:`_hasse_rows`).
 
 One degree search, over a table of k, serves two lanes that share nothing
 but the pivot discipline: numpy int64 over F_p (default; one prime
 searches, a second confirms only the answer degrees, and a k re-runs over
 Q only when it refutes its degree) and Fraction/Bareiss over Q.  Each k
 starts past the previous answer, so one set of tables per prime serves
-every k.  The F_p tables expand through an integral coordinate change, so
-each F_p condition matrix reduces an integer matrix whose rows span the
-same space over Q as the Fraction conditions; its rank mod p is at most
-its rank over Q, so full column rank mod p proves the lower bound.
+every k.  Each F_p condition matrix reduces an integer matrix whose rows
+span the same space over Q as the Fraction conditions: the flats' tables
+expand through an integral coordinate change, and the points' rows are
+integral Hasse rows.  Its rank mod p is at most its rank over Q, so full
+column rank mod p proves the lower bound.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm
 
 import numpy as np
@@ -104,6 +108,58 @@ def _integral_change(sub: Subspace):
     return [[int(x * c) for x, c in zip(row, scales)] for row in inverse]
 
 
+# -- points: Hasse rows in closed form -----------------------------------------
+
+@lru_cache(maxsize=None)
+def _exponents(nvars: int, degree: int):
+    """``monomial_basis(nvars, degree)`` as an int64 array, one row each."""
+    return np.array(monomial_basis(nvars, degree), dtype=np.int64)
+
+
+def _primitive_point(sub: Subspace):
+    """The point of a codim-N ``sub`` as a primitive integer vector:
+    ``sub.basis[0]`` (1 at a non-pivot column) times the lcm of its
+    denominators."""
+    v = sub.basis[0]
+    scale = lcm(*(x.denominator for x in v))
+    return tuple(int(x * scale) for x in v)
+
+
+def _hasse_rows(point, d: int, kappa: int, p: int):
+    """Order-r Hasse derivatives at ``point`` of the degree-d monomials
+    mod p, r = min(kappa, d + 1) - 1: row beta (|beta| = r) and column m
+    (``monomial_basis(N+1, d)``) hold prod C(m_i, beta_i) P_i^(m_i - beta_i),
+    0 when some beta_i > m_i.
+
+    Over Q these rows span the order-kappa conditions at P.  F vanishes to
+    order kappa at P iff D^beta F(P) = 0 for |beta| < kappa (Taylor).
+    D^beta F is a form of degree d - |beta|, and Euler's relation for it
+    reads (d - |beta|) D^beta F(P) = sum_i (beta_i + 1) P_i D^(beta+e_i) F(P),
+    so for |beta| < r <= d the order-r rows imply the lower ones.  At
+    kappa > d, r = d and the rows are the identity: no nonzero form of
+    degree < kappa vanishes to order kappa.  A fat point imposes
+    independent conditions in degree d >= kappa - 1, so there are
+    C(r + N, N) = ``condition_row_count(N, kappa, d, N)`` rows, as many
+    as the adapted conditions.  The rows are the reduction mod p of an
+    integer matrix (P is integral), so full column rank mod p proves full
+    column rank over Q.
+
+    One gather per variable from the (d+1) x (r+1) table
+    C(a, b) P_i^(a - b) mod p; each product of two residues < p < 2^31
+    is below 2^62 and is reduced at once."""
+    r = min(kappa, d + 1) - 1
+    cols, rows = _exponents(len(point), d), _exponents(len(point), r)
+    out = None
+    for i, x in enumerate(point):
+        powers = [pow(x, a, p) for a in range(d + 1)]
+        table = np.array([[comb(a, b) * powers[a - b] % p if b <= a else 0
+                           for b in range(r + 1)] for a in range(d + 1)],
+                         dtype=np.int64)
+        factor = table.T[rows[:, i]][:, cols[:, i]]
+        out = factor if out is None else out * factor % p
+    return out
+
+
 class _NewestDegree:
     """Keeps the newest degree only; a request below it raises ValueError."""
 
@@ -116,18 +172,30 @@ class _NewestDegree:
 
 
 class AdaptedTablesModP(_NewestDegree):
-    """Per-subspace expansion tables mod p: ``table(d)[i, j]`` is the
-    coefficient of the j-th adapted monomial in the expansion of the i-th
-    original degree-d monomial."""
+    """Per-subspace condition rows mod p.  A flat reads them off its
+    expansion tables: ``table(d)[i, j]`` is the coefficient of the j-th
+    adapted monomial in the expansion of the i-th original degree-d
+    monomial.  A point builds no table: ``block`` returns its
+    :func:`_hasse_rows`, which reduce an integer matrix with the row space
+    over Q of the adapted conditions, so full column rank mod p still
+    proves the lower bound, and the witness, the second prime and
+    :func:`membership` all read the same rows."""
 
     def __init__(self, sub: Subspace, p: int):
         self.p = p
+        self.sub = sub
         self.nvars = sub.ambient_dim + 1
         self.e = sub.codim
-        self.B = np.array(
-            [[x % p for x in row] for row in _integral_change(sub)],
-            dtype=np.int64)
+        self.point = _primitive_point(sub) if sub.is_point else None
         self._degree, self._table = 0, np.ones((1, 1), dtype=np.int64)
+
+    @cached_property
+    def B(self):
+        """``_integral_change`` mod p, made on the first table degree, so a
+        point, whose rows are in closed form, never makes it."""
+        return np.array([[x % self.p for x in row]
+                         for row in _integral_change(self.sub)],
+                        dtype=np.int64)
 
     def _build_next(self):
         d, prev = self._degree + 1, self._table
@@ -147,6 +215,13 @@ class AdaptedTablesModP(_NewestDegree):
 
     def block(self, d: int, kappa: int):
         """Condition rows annihilating exactly the degree-d part of I^kappa."""
+        if self.point is not None:
+            return _hasse_rows(self.point, d, kappa, self.p)
+        return self.expanded_block(d, kappa)
+
+    def expanded_block(self, d: int, kappa: int):
+        """The rows of ``block`` read off the expansion table; valid for
+        every subspace, used for flats."""
         sel = _selected_betas(self.nvars, d, self.e, kappa)
         return np.ascontiguousarray(self.table(d)[:, sel].T)
 

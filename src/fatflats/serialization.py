@@ -26,6 +26,14 @@ def require_int(value, what):
     return value
 
 
+def require_list(value, what):
+    """A coordinate list of an input file: a string is an error, not a
+    sequence of one-character coordinates."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, not {value!r}")
+    return value
+
+
 # -- schemes -------------------------------------------------------------------
 
 def scheme_to_dict(scheme: FatFlatScheme) -> dict:
@@ -51,7 +59,8 @@ def scheme_from_dict(data: dict) -> FatFlatScheme:
         n = require_int(data["ambient_dim"], "ambient_dim")
         comps = []
         for entry in data["components"]:
-            forms = [LinForm([parse_scalar(c) for c in row])
+            forms = [LinForm([parse_scalar(c)
+                              for c in require_list(row, "form")])
                      for row in entry["forms"]]
             mult = require_int(entry["multiplicity"], "multiplicity")
             comps.append(FatComponent(Subspace(n, forms), mult,
@@ -77,7 +86,8 @@ def points_to_dict(config: FatPointsP2) -> dict:
 
 def points_from_dict(data: dict) -> FatPointsP2:
     try:
-        pts = [[parse_scalar(x) for x in p] for p in data["points"]]
+        pts = [[parse_scalar(x) for x in require_list(p, "point")]
+               for p in data["points"]]
         return FatPointsP2(pts, [require_int(m, "multiplicity")
                                  for m in data["multiplicities"]])
     except (KeyError, TypeError) as exc:

@@ -126,6 +126,10 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
      []),
     ("classify", _points_json([2, 1], points=([1, 0, 0, 0], [0, 1, 0, 1])),
      []),
+    ("classify", _points_json([2, 2, 1], points=("100", [0, 1, 0],
+                                                 [0, 0, 1])), []),
+    ("alpha", json.dumps({"ambient_dim": 2, "components": [
+        {"forms": ["100", "010"], "multiplicity": 1}]}), []),
 ], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
         "sweep-k-max-not-integer", "sweep-grid-not-object",
         "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
@@ -134,7 +138,8 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
         "multiplicity-float", "star-core-string", "predicted-alpha-float",
         "points-multiplicity-string", "points-multiplicity-float",
         "alpha-empty-k-range", "sweep-k-max-null", "points-two-coordinates",
-        "points-four-coordinates"])
+        "points-four-coordinates", "points-coordinates-string",
+        "forms-row-string"])
 def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
                           extra):
     path = star_file

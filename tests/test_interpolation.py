@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from fatflats import interpolation
@@ -20,10 +21,12 @@ from fatflats.interpolation import (
     multiply_forms,
     require_alpha,
 )
-from fatflats.linalg import rank_kernel_rational
+from fatflats.linalg import rank_kernel_modp, rank_kernel_rational
 from fatflats.projective import LinForm, Subspace, point_subspace
 from fatflats.scalars import DEFAULT_PRIMES
 from fatflats.schemes import (
+    FatComponent,
+    FatFlatScheme,
     FatPointsP2,
     build_rational_target,
     build_theorem_b_family,
@@ -196,6 +199,72 @@ def test_modp_tables_match_rational_tables():
                         c *= scale ** b
                     expected = c.numerator * pow(c.denominator, -1, p) % p
                     assert table_p[i, j] == expected
+
+
+def _seeded_points():
+    """Seeded points of P^2, P^3 and P^4 with zero, negative and rational
+    coordinates."""
+    rng = random.Random(17)
+    values = [0, 0, 1, -1, 3, -7, Fraction(1, 2), Fraction(-5, 3)]
+    out = []
+    for n in (2, 3, 4):
+        for _ in range(3):
+            coords = [rng.choice(values) for _ in range(n + 1)]
+            if any(coords):
+                out.append(tuple(coords))
+    assert any(0 in c for c in out)
+    assert any(x < 0 for c in out for x in c)
+    assert any(Fraction(x).denominator > 1 for c in out for x in c)
+    return out
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_hasse_rows_match_expansion_tables(p):
+    """A point's closed-form Hasse rows and the rows read off its expansion
+    table (built by ``_build_next``) have the same row space mod p, so the
+    same normalised kernel; also at kappa > d, where both are the identity
+    on the degree-d monomials."""
+    for coords in _seeded_points():
+        sub = point_subspace(coords)
+        n = sub.ambient_dim
+        tables = AdaptedTablesModP(sub, p)
+        for d in range(5):
+            for kappa in range(1, d + 3):
+                hasse = tables.block(d, kappa)
+                expanded = tables.expanded_block(d, kappa)
+                rows = condition_row_count(n, kappa, d, n)
+                assert hasse.shape == expanded.shape == (
+                    rows, len(monomial_basis(n + 1, d)))
+                rank, kernel = rank_kernel_modp(hasse, p)
+                assert rank == rows
+                assert rank_kernel_modp(np.vstack([hasse, expanded]),
+                                        p)[0] == rank
+                other = rank_kernel_modp(expanded, p)[1]
+                assert (kernel is None) == (other is None)
+                assert kernel is None or (kernel == other).all()
+        assert tables._degree == 4
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_modp_membership_at_points(p):
+    """On Hasse rows, a power of a linear form through the point is in
+    I^kappa and a nonzero form of degree < kappa is not."""
+    rng = random.Random(5)
+    for coords in _seeded_points():
+        sub = point_subspace(coords)
+        n = sub.ambient_dim
+        for kappa in (1, 2, 3):
+            scheme = FatFlatScheme(n, (FatComponent(sub, kappa),))
+            power = form_product([(sub.forms[0], kappa)])
+            member = Form.from_dict(n, kappa, {
+                m: c.numerator * pow(c.denominator, -1, p) % p
+                for m, c in power.coeffs}, field=p)
+            assert membership(member, scheme, 1)
+            for d in range(kappa):
+                low = Form.from_dict(n, d, {
+                    m: rng.randrange(1, p) for m in monomial_basis(n + 1, d)},
+                    field=p)
+                assert not membership(low, scheme, 1)
 
 
 # -- forms ---------------------------------------------------------------------
@@ -390,21 +459,21 @@ def test_alpha_table_validation(star25):
 def test_alpha_table_builds_each_table_once(star25, monkeypatch):
     """S_2(2,5) for k <= 4: each k starts past the previous answer, so the
     first prime eliminates each degree 1..10 once and the second prime only
-    at the answers; each of the ten points gets one table per prime, built
-    up to degree 10."""
+    at the answers; the ten points take their rows in closed form and
+    build no table degree.  A line and two points in P^3 for k <= 3: the
+    line gets one table per prime, built upward one degree at a time up to
+    the last degree that prime eliminates; the points build none."""
     _, scheme = star25
-    eliminated = []
+    eliminated, built = [], []
     kernel_modp = interpolation._kernel_modp
+    build_next = AdaptedTablesModP._build_next
 
     def recording(tables, orders, d):
         eliminated.append((tables[0].p, d))
         return kernel_modp(tables, orders, d)
 
-    builds = []
-    build_next = AdaptedTablesModP._build_next
-
     def counting(self):
-        builds.append(self)
+        built.append((self, self._degree + 1))
         build_next(self)
 
     monkeypatch.setattr(interpolation, "_kernel_modp", recording)
@@ -414,7 +483,22 @@ def test_alpha_table_builds_each_table_once(star25, monkeypatch):
     p1, p2 = DEFAULT_PRIMES
     assert [d for p, d in eliminated if p == p1] == list(range(1, 11))
     assert [d for p, d in eliminated if p == p2] == [4, 5, 9, 10]
-    assert len(builds) == 200 and len(set(map(id, builds))) == 20
+    assert built == []
+
+    line = Subspace(3, [LinForm([1, 2, -1, 3]), LinForm([0, 1, 4, -2])])
+    scheme = FatFlatScheme(3, (
+        FatComponent(line, 2),
+        FatComponent(point_subspace((1, -2, 0, 1)), 1),
+        FatComponent(point_subspace((3, 1, Fraction(1, 2), 1)), 2)))
+    eliminated.clear()
+    table = alpha_table(scheme, (1, 2, 3))
+    assert [r.alpha for r in table] == [3, 5, 8]
+    assert [d for p, d in eliminated if p == p1] == list(range(2, 9))
+    assert [d for p, d in eliminated if p == p2] == [3, 5, 8]
+    assert all(t.point is None for t, _ in built)
+    for p in DEFAULT_PRIMES:
+        assert len({id(t) for t, _ in built if t.p == p}) == 1
+        assert [d for t, d in built if t.p == p] == list(range(1, 9))
 
 
 @pytest.mark.parametrize("q", DEFAULT_PRIMES)
