@@ -27,7 +27,6 @@ NOT_BELOW = "not_below"
 MULTIPLICITY_AT_LEAST_3 = "multiplicity_at_least_3"
 TWO_DOUBLES = "two_doubles_certificate"
 GENERAL_POSITION_CONIC = "general_position_conic"
-TWO_LINES_SPLIT = "two_lines_split_subscheme"
 FIGURE_3 = "figure3_bound"
 
 
@@ -133,7 +132,21 @@ def _conic_certificate(config: FatPointsP2, double_idx):
 
 
 def classify(config: FatPointsP2) -> Classification:
-    """Theorem-B decision procedure; see module docstring for the cases."""
+    """Theorem-B decision procedure; see module docstring for the cases.
+
+    Every verdict carries its proof: an exact family, or a certified lower
+    bound.  Branch (7) always finds its conic.  There, p0 is the only
+    double point, the points are not all collinear, the simple points are
+    not collinear among themselves, and they lie on at least three lines
+    through p0 (one line would make all points collinear, two is case b).
+    Take one simple point from each of three such lines: no two of them
+    are collinear with p0, so the four points are in general position
+    unless the three are collinear.  If every such choice were collinear,
+    each line would hold one simple point only: two points a, a' on one
+    line through p0, both collinear with b and c from two other lines,
+    would put b on the line a a', which passes through p0.  Then every
+    three simple points would be collinear, so all of them would be.
+    """
     mults = config.multiplicities
     if all(m == 1 for m in mults):
         raise ValidationError(
@@ -204,13 +217,9 @@ def classify(config: FatPointsP2) -> Classification:
 
     # (7) otherwise a general-position 4-subset through the double exists.
     found = _conic_certificate(config, p0)
-    if found is not None:
-        indices, cert, lower = found
-        return Classification(NOT_BELOW, reason=GENERAL_POSITION_CONIC,
-                              lower=lower, certificate=cert,
-                              subscheme_indices=indices)
-    # Defensive: with branches (2)-(6) exhausted a general-position
-    # 4-subset always exists; reaching here means the support splits over
-    # two lines in a way the search should have covered.
-    return Classification(NOT_BELOW, reason=TWO_LINES_SPLIT,
-                          lower=None, detail={"note": "no conic witness found"})
+    if found is None:  # unreachable: see the docstring
+        raise AssertionError("general-position conic search failed")
+    indices, cert, lower = found
+    return Classification(NOT_BELOW, reason=GENERAL_POSITION_CONIC,
+                          lower=lower, certificate=cert,
+                          subscheme_indices=indices)

@@ -145,19 +145,32 @@ def _hasse_rows(point, d: int, kappa: int, p: int):
     column rank over Q.
 
     One gather per variable from the (d+1) x (r+1) table
-    C(a, b) P_i^(a - b) mod p; each product of two residues < p < 2^31
-    is below 2^62 and is reduced at once."""
+    C(a, b) P_i^(a - b) mod p, the Pascal table times the powers of
+    P_i mod p; each product of two residues < p < 2^31 is below 2^62 and
+    is reduced at once."""
     r = min(kappa, d + 1) - 1
     cols, rows = _exponents(len(point), d), _exponents(len(point), r)
+    pascal, shift = _pascal_table(d, r, p)
     out = None
     for i, x in enumerate(point):
-        powers = [pow(x, a, p) for a in range(d + 1)]
-        table = np.array([[comb(a, b) * powers[a - b] % p if b <= a else 0
-                           for b in range(r + 1)] for a in range(d + 1)],
-                         dtype=np.int64)
+        x, powers = x % p, [1]
+        for _ in range(d):
+            powers.append(powers[-1] * x % p)
+        table = pascal * np.array(powers, dtype=np.int64)[shift] % p
         factor = table.T[rows[:, i]][:, cols[:, i]]
         out = factor if out is None else out * factor % p
     return out
+
+
+@lru_cache(maxsize=None)
+def _pascal_table(d: int, r: int, p: int):
+    """C(a, b) mod p for a <= d, b <= r (0 above the diagonal), and the
+    exponents max(a - b, 0) of the matching powers, as (d+1) x (r+1)
+    int64 arrays."""
+    a, b = np.ogrid[:d + 1, :r + 1]
+    pascal = np.array([[comb(i, j) % p for j in range(r + 1)]
+                       for i in range(d + 1)], dtype=np.int64)
+    return pascal, np.maximum(a - b, 0)
 
 
 class _NewestDegree:
@@ -283,8 +296,11 @@ class Form:
     def from_dict(ambient_dim, degree, coeffs, field="rational"):
         items = tuple(sorted((tuple(k), v) for k, v in coeffs.items() if v))
         for exps, _ in items:
-            if len(exps) != ambient_dim + 1 or sum(exps) != degree:
-                raise ValidationError("exponent tuple inconsistent with degree")
+            if (len(exps) != ambient_dim + 1 or sum(exps) != degree
+                    or any(e < 0 for e in exps)):
+                raise ValidationError(
+                    f"exponent tuple {exps} is not a monomial of degree "
+                    f"{degree} in {ambient_dim + 1} variables")
         return Form(ambient_dim, degree, items, field)
 
     @property

@@ -2,8 +2,8 @@
 
 One eliminator per field, independent on purpose: fraction-free (Bareiss)
 elimination over the integers for Q, whose echelon form gives the RREF,
-rank, inverse and kernel by one back-substitution, and blocked
-elimination over F_p for the fast lane.  Pivot order is deterministic
+rank, inverse and kernel by one back-substitution, and elimination over
+F_p blocked on two levels for the fast lane.  Pivot order is deterministic
 (leftmost column, topmost nonzero row) so kernel vectors are reproducible.
 
 The F_p kernel works on int64 residues of a prime p < 2^31.  Its block
@@ -128,21 +128,34 @@ def rank_kernel_rational(rows, ncols=None):
 
 # The exactness bound of rank_kernel_modp's block products:
 # _PANEL * (p - 1) * (2^_LIMB_BITS - 1) < 2^6 * 2^31 * 2^16 = 2^53 for
-# every p < _PRIME_BOUND, whatever the summation order.  The trailing
-# update runs in strips of _STRIP columns to bound its temporaries.
+# every p < _PRIME_BOUND, whatever the summation order.  Each panel of
+# _PANEL columns is eliminated in sub-panels of _SUB columns, so every
+# block product has at most _PANEL terms.  The trailing update runs in
+# strips of _STRIP columns to bound its temporaries.
 _PANEL = 64
+_SUB = 16
 _STRIP = 256
 _LIMB_BITS = 16
 _PRIME_BOUND = 1 << 31
 
 
-def _matmul_modp(a, b, p):
-    """``a @ b mod p`` exactly: ``a`` is float64 with at most _PANEL
-    columns and integral entries in [0, p), ``b`` is int64 in [0, p)."""
+def _matmul_lift(a, b, p):
+    """An int64 matrix congruent to ``a @ b`` mod p: ``a`` is float64 with
+    at most _PANEL columns and integral entries in [0, p), ``b`` is int64
+    in [0, p).  Its entries are (a @ hi mod p) * 2^16 < 2^47 plus
+    a @ lo < 2^53, so they lie in [0, 2^54)."""
     lo = (b & ((1 << _LIMB_BITS) - 1)).astype(np.float64)
     hi = (b >> _LIMB_BITS).astype(np.float64)
-    return ((a @ hi).astype(np.int64) % p * (1 << _LIMB_BITS)
-            + (a @ lo).astype(np.int64)) % p
+    out = (a @ hi).astype(np.int64)
+    out %= p
+    out <<= _LIMB_BITS
+    out += (a @ lo).astype(np.int64)
+    return out
+
+
+def _matmul_modp(a, b, p):
+    """``a @ b mod p`` exactly, for the operands of :func:`_matmul_lift`."""
+    return _matmul_lift(a, b, p) % p
 
 
 def _unit_lower_inverse(low, p):
@@ -151,14 +164,15 @@ def _unit_lower_inverse(low, p):
     k = low.shape[0]
     inv = np.eye(k, dtype=np.int64)
     for j in range(k - 1):
-        inv[j + 1:] = (inv[j + 1:] - low[j + 1:, j, None] * inv[j]) % p
+        inv[j + 1:, :j + 1] = (inv[j + 1:, :j + 1]
+                               - low[j + 1:, j, None] * inv[j, :j + 1]) % p
     return inv
 
 
 def _trailing_update(T, L, p):
-    """Apply a panel's row operations to its trailing columns ``T`` (a view
-    from the panel's first row down), in place.  ``L`` holds the panel's
-    multipliers: k pivot columns, rows aligned with ``T``."""
+    """Apply a block's row operations to its trailing columns ``T`` (a view
+    from the block's first row down), in place.  ``L`` holds the block's
+    multipliers: k <= _PANEL pivot columns, rows aligned with ``T``."""
     k = L.shape[1]
     top_inv = _unit_lower_inverse(L[:k], p).astype(np.float64)
     bottom = L[k:].astype(np.float64)
@@ -166,8 +180,51 @@ def _trailing_update(T, L, p):
         X = _matmul_modp(top_inv, T[:k, s:s + _STRIP], p)
         T[:k, s:s + _STRIP] = X
         if bottom.size:
+            # T - lift lies in (-2^54, 2^31), so one reduction serves.
             T[k:, s:s + _STRIP] = (T[k:, s:s + _STRIP]
-                                   - _matmul_modp(bottom, X, p)) % p
+                                   - _matmul_lift(bottom, X, p)) % p
+
+
+def _eliminate(M, c0, c1, r, widths, pivots, inverses, p):
+    """Eliminate columns c0..c1 - 1 of ``M`` from row r down, in place,
+    and return the next pivot row.  The columns go in blocks of
+    ``widths[0]`` columns, each eliminated by the next level; the block's
+    row operations then reach the rest of c0..c1 - 1 in one
+    :func:`_trailing_update`.  With no widths left, each column takes one
+    pivot step, whose int64 update spans only the columns left in the
+    block."""
+    nrows = M.shape[0]
+    if not widths:
+        for c in range(c0, c1):
+            if r >= nrows:
+                break
+            nz = M[r:, c].nonzero()[0]
+            if not nz.size:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                M[[r, i]] = M[[i, r]]
+            inv = pow(int(M[r, c]), -1, p)
+            # The multipliers overwrite the entries they eliminate, so the
+            # row swaps carry them along and a block's pivot columns below
+            # its first row form its L block.
+            fac = M[r + 1:, c] * inv % p
+            M[r + 1:, c] = fac
+            M[r + 1:, c + 1:c1] = (M[r + 1:, c + 1:c1]
+                                   - fac[:, None] * M[r, c + 1:c1]) % p
+            pivots.append(c)
+            inverses.append(inv)
+            r += 1
+        return r
+    for b0 in range(c0, c1, widths[0]):
+        if r >= nrows:
+            break
+        b1 = min(b0 + widths[0], c1)
+        r0, k0 = r, len(pivots)
+        r = _eliminate(M, b0, b1, r, widths[1:], pivots, inverses, p)
+        if r > r0 and b1 < c1:
+            _trailing_update(M[r0:, b1:c1], M[r0:, pivots[k0:]], p)
+    return r
 
 
 def rank_kernel_modp(mat, p):
@@ -179,51 +236,29 @@ def rank_kernel_modp(mat, p):
     None at full column rank.  The kernel vector sets the first free
     column to 1 and all other free columns to 0, so it is unique.
 
-    Forward elimination is blocked: each panel of _PANEL columns is
-    eliminated pivot by pivot (leftmost column, topmost nonzero row; rows
-    are swapped whole, and the multipliers are stored in place of the
-    entries they eliminate).  The trailing columns then get two float64
-    BLAS products, ``X = L_top^-1 @ T_top`` and ``T_bot -= L_bot @ X``,
-    on 16-bit limbs of the right operand: every partial sum is below
-    64 * (p - 1) * (2^16 - 1) < 2^53, so it is exact, and it is reduced in
-    int64.  The pivot columns are the column rank profile of ``mat``;
-    back-substitution runs over the pivots left of the first free column
-    only.
+    Forward elimination is blocked on two levels, panels of _PANEL
+    columns split into sub-panels of _SUB.  Each sub-panel is eliminated
+    pivot by pivot (leftmost column, topmost nonzero row; rows are swapped
+    whole, and the multipliers are stored in place of the entries they
+    eliminate), with int64 updates across the sub-panel only.  The rest
+    of the panel, and after the panel the trailing columns, then get two
+    float64 BLAS products, ``X = L_top^-1 @ T_top`` and
+    ``T_bot -= L_bot @ X``, where L holds the block's multipliers.  Their
+    inner dimension is the block's pivot count, at most _PANEL, and they
+    run on 16-bit limbs of the right operand: every partial sum is below
+    64 * (p - 1) * (2^16 - 1) < 2^53, so it is exact, and the update is
+    reduced in int64.  The arithmetic is that of one unblocked elimination in another
+    order, so the pivots, the multipliers and the result do not depend on
+    the block sizes.  The pivot columns are the column rank profile of
+    ``mat``; back-substitution runs over the pivots left of the first
+    free column only.
     """
     if not 2 <= p < _PRIME_BOUND:
         raise ValueError(f"modulus {p} is outside [2, 2^31)")
     M = np.array(mat, dtype=np.int64) % p
-    nrows, ncols = M.shape
+    ncols = M.shape[1]
     pivots, inverses = [], []
-    r = 0
-    for c0 in range(0, ncols, _PANEL):
-        if r >= nrows:
-            break
-        c1 = min(c0 + _PANEL, ncols)
-        r0, k0 = r, len(pivots)
-        for c in range(c0, c1):
-            if r >= nrows:
-                break
-            nz = np.flatnonzero(M[r:, c])
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                M[[r, i]] = M[[i, r]]
-            inv = pow(int(M[r, c]), p - 2, p)
-            # The multipliers overwrite the entries they eliminate, so the
-            # row swaps carry them along and the panel's pivot columns
-            # below its first row form its L block.
-            fac = M[r + 1:, c] * inv % p
-            M[r + 1:, c] = fac
-            M[r + 1:, c + 1:c1] = (M[r + 1:, c + 1:c1]
-                                   - fac[:, None] * M[r, c + 1:c1]) % p
-            pivots.append(c)
-            inverses.append(inv)
-            r += 1
-        if r > r0 and c1 < ncols:
-            _trailing_update(M[r0:, c1:], M[r0:, pivots[k0:]], p)
-    rank = r
+    rank = _eliminate(M, 0, ncols, 0, (_PANEL, _SUB), pivots, inverses, p)
     if rank == ncols:
         return rank, None
     # Columns left of the first free one are all pivots, pivot i in row i;

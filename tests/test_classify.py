@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from fatflats.classify import (
 from fatflats.divisors import verify_nef
 from fatflats.errors import ValidationError
 from fatflats.interpolation import alpha_symbolic, require_alpha
+from fatflats.projective import normalize_point
 from fatflats.schemes import FatPointsP2, build_theorem_b_family
 
 
@@ -130,3 +132,29 @@ def test_below_families_match_engine_ratios():
         result = classify(config)
         a2 = require_alpha(alpha_symbolic(config.to_scheme(), 2))
         assert Fraction(a2, 2) == result.alpha_hat
+
+
+def test_one_double_point_verdicts_carry_proofs():
+    """Seeded configurations of one double point and 3-6 simple points
+    with coordinates in a small box, so that many points are collinear:
+    every verdict is an exact family or carries a certified lower bound of
+    at least 5/2, and branch (7) never fails to find its conic."""
+    rng = random.Random(1013)
+    conics = 0
+    for _ in range(300):
+        n, box = rng.randint(4, 7), rng.choice((1, 1, 2))
+        points = set()
+        while len(points) < n:
+            v = [rng.randint(-box, box) for _ in range(3)]
+            if any(v):
+                points.add(normalize_point(v))
+        points = sorted(points)
+        rng.shuffle(points)
+        result = classify(FatPointsP2(points, [2] + [1] * (n - 1)))
+        if result.case == NOT_BELOW:
+            assert result.lower is not None, points
+            assert result.lower.value >= Fraction(5, 2), points
+        else:
+            assert exact_value(result) in (2, Fraction(7, 3)), points
+        conics += result.reason == GENERAL_POSITION_CONIC
+    assert conics >= 200

@@ -130,6 +130,8 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
                                                  [0, 0, 1])), []),
     ("alpha", json.dumps({"ambient_dim": 2, "components": [
         {"forms": ["100", "010"], "multiplicity": 1}]}), []),
+    ("member", json.dumps({"ambient_dim": 2, "degree": 2,
+                           "coeffs": {"-1,3,0": "1"}}), []),
 ], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
         "sweep-k-max-not-integer", "sweep-grid-not-object",
         "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
@@ -139,7 +141,7 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
         "points-multiplicity-string", "points-multiplicity-float",
         "alpha-empty-k-range", "sweep-k-max-null", "points-two-coordinates",
         "points-four-coordinates", "points-coordinates-string",
-        "forms-row-string"])
+        "forms-row-string", "form-negative-exponent"])
 def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
                           extra):
     path = star_file
@@ -149,6 +151,8 @@ def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
     args = [command, str(path), *extra]
     if command == "sweep":
         args += ["-o", str(tmp_path / "sweep")]
+    if command == "member":
+        args.insert(2, str(star_file))
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert any(line.startswith("error: ")

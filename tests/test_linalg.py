@@ -267,7 +267,8 @@ def test_rank_kernel_modp_does_not_modify_input():
 
 
 def _blocked_cases(p):
-    """Seeded matrices spanning several 64-column panels of the kernel."""
+    """Seeded matrices spanning several 64-column panels and 16-column
+    sub-panels of the kernel."""
     rng = np.random.default_rng(20081)
 
     def rand(nrows, ncols):
@@ -284,6 +285,19 @@ def _blocked_cases(p):
     np.fill_diagonal(corner, 0)
     single_row = rand(1, 130)
     single_row[0, 0] = 0
+    # Zero and dependent columns on both sides of sub-panel and panel
+    # boundaries (columns 15/16 and 63/64).
+    boundary_zeros = rand(200, 150)
+    boundary_zeros[:, [15, 16, 63, 64]] = 0
+    across_sub = rand(200, 150)
+    across_sub[:, 16] = (across_sub[:, 15] + 5 * across_sub[:, 2]) % p
+    across_sub[:, 64] = (2 * across_sub[:, 63] + across_sub[:, 17]) % p
+    across_panel = rand(200, 150)
+    across_panel[:, 64] = (across_panel[:, 63] + 3 * across_panel[:, 16]
+                           + across_panel[:, 40]) % p
+    # As tall as star's matrices (rows ~ 1.6 x columns) and rank deficient.
+    star_like = (rng.integers(-2, 3, size=(240, 110))
+                 @ rng.integers(-2, 3, size=(110, 150)))
     return {
         "tall": rand(200, 150),
         "wide": rand(100, 200),
@@ -296,6 +310,13 @@ def _blocked_cases(p):
         "depends-on-earlier-panel": dependent,
         "all-p-minus-1": np.full((150, 140), p - 1, dtype=np.int64),
         "p-minus-1-off-diagonal": corner,
+        "zero-columns-at-boundaries": boundary_zeros,
+        "depends-across-sub-panel": across_sub,
+        "depends-across-panel": across_panel,
+        "rows-end-inside-sub-panel": rand(40, 150),
+        "rows-end-inside-second-panel": rand(71, 150),
+        "rows-end-at-sub-panel": rand(16, 40),
+        "star-like-tall-low-rank": star_like,
     }
 
 

@@ -75,6 +75,9 @@ def test_malformed_inputs_raise_validation():
     for coeffs in ([], "x"):
         with pytest.raises(ValidationError):
             form_from_dict({"ambient_dim": 2, "degree": 1, "coeffs": coeffs})
+    with pytest.raises(ValidationError, match=r"\(-1, 3, 0\)"):
+        form_from_dict({"ambient_dim": 2, "degree": 2,
+                        "coeffs": {"-1,3,0": "1"}})
 
 
 def test_form_roundtrip():
