@@ -106,7 +106,7 @@ def _run(fn):
     except CertificateError as exc:
         click.echo(f"certificate error: {exc}", err=True)
         raise SystemExit(EXIT_CERTIFICATE)
-    except (ValidationError, FatFlatsError, OSError, KeyError) as exc:
+    except (FatFlatsError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_VALIDATION)
 

@@ -16,7 +16,8 @@ but the pivot discipline: numpy int64 over F_p (default; one prime
 searches, a second confirms only the answer degrees, and a k re-runs over
 Q only when it refutes its degree) and Fraction/Bareiss over Q.  Each k
 starts past the previous answer, so one set of tables per prime serves
-every k.  Each F_p condition matrix reduces an integer matrix whose rows
+every k; only a step back below a star scheme's probe degree builds fresh
+tables.  Each F_p condition matrix reduces an integer matrix whose rows
 span the same space over Q as the Fraction conditions: the flats' tables
 expand through an integral coordinate change, and the points' rows are
 integral Hasse rows.  Its rank mod p is at most its rank over Q, so full
@@ -403,33 +404,62 @@ def _stack_rational(tables, orders, d):
 
 
 def _kernel_modp(tables, orders, d):
-    """A kernel vector of the degree-d condition matrix mod p, or None at
-    full column rank: then no form of degree d exists over Q either."""
+    """(nullity, kernel vector) of the degree-d condition matrix mod p; the
+    vector is None at full column rank: then no form of degree d exists
+    over Q either.  The nullity over Q is at most the nullity mod p."""
     p = tables[0].p
     M = _stack_modp(tables, orders, d)
-    _, kernel = rank_kernel_modp(M, p)
+    rank, kernel = rank_kernel_modp(M, p)
     if kernel is not None and (_modp_apply(M, kernel, p) != 0).any():
         raise AssertionError("kernel vector failed verification")
-    return kernel
+    return M.shape[1] - rank, kernel
 
 
 def _kernel_rational(tables, orders, d):
-    """A kernel vector of the degree-d condition matrix over Q, or None."""
+    """(nullity, kernel vector or None) of the degree-d condition matrix
+    over Q."""
     ncols = len(monomial_basis(tables[0].nvars, d))
-    return rank_kernel_rational(_stack_rational(tables, orders, d), ncols=ncols)[1]
+    rank, kernel = rank_kernel_rational(_stack_rational(tables, orders, d),
+                                        ncols=ncols)
+    return ncols - rank, kernel
 
 
-def _first_kernels(tables, records, orders, floors, kernel_at):
+def _nullity_floor(d, nullity, n):
+    """d - j + 1, j the least with C(j + n, n) > ``nullity``: a lower bound
+    on the degree of every form when the degree-d forms have dimension at
+    most ``nullity``.  A form F != 0 of degree d - j would give C(j + n, n)
+    independent forms x^m F (|m| = j) of degree d."""
+    j = 1
+    while comb(j + n, n) <= nullity:
+        j += 1
+    return d - j + 1
+
+
+def _first_kernels(new_tables, records, orders, floors, probes, kernel_at):
     """{k: the least degree d <= cap with a kernel vector, and that vector,
-    or (None, None)}, each k starting past the previous: see alpha_table."""
+    or (None, None)}, each k starting past the previous: see alpha_table.
+    ``new_tables()`` makes fresh tables, needed for a degree below the
+    newest one the current tables hold."""
     found, j, b = {}, 0, 0  # alpha(I^(0)) = 0
+    tables, newest = new_tables(), 0
+    n = tables[0].nvars - 1
     for record in records:
         k, cap = record.k, record.degree_cap
-        start = max(floors[k], b + k - j)
-        tried = ((d, kernel_at(tables, orders[k], d))
-                 for d in range(start, cap + 1))
-        found[k] = next((t for t in tried if t[1] is not None), (None, None))
-        j, b = k, found[k][0] or max(start, cap + 1)
+        lo = max(floors[k], b + k - j)  # proved: alpha(I^(k)) >= lo
+        top, hit = cap, (None, None)  # hit: the least degree with a kernel
+        probe = d = min(cap, max(lo, probes[k]))
+        while lo <= top:
+            if d < newest:
+                tables = new_tables()
+            nullity, kernel = kernel_at(tables, orders[k], d)
+            newest = d
+            if kernel is None:
+                lo = d = d + 1
+                continue
+            hit, top = (d, kernel), d - 1
+            lo = max(lo, _nullity_floor(d, nullity, n))
+            d = d - 1 if d == probe else lo
+        found[k], j, b = hit, k, lo
     return found
 
 
@@ -441,13 +471,34 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     eliminates only at each answer d; full rank there re-runs that k over Q
     (``escalated``) from d + 1, as rational mode runs every k.
 
-    k starts at max(max(orders), b + k - j), b the proved lower bound of the
-    previous record j.  Proof: full rank mod p1 on [start, d - 1] proves
-    alpha(I^(j)) >= d over Q, whatever p2 says (each F_p matrix reduces an
-    integer matrix with the Q row space); an unresolved record proves
-    alpha(I^(j)) > cap.  A form F != 0 in I^(k) has a first partial != 0
-    (Euler), of order >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
+    k has the proved floor start = max(max(orders), b + k - j), b the proved
+    lower bound of the previous record j.  Proof: the eliminations below
+    prove a record's answer d a lower bound over Q, whatever p2 says (each
+    F_p matrix reduces an integer matrix with the Q row space, so rank mod
+    p <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.  A
+    form F != 0 in I^(k) has a first partial != 0 (Euler), of order
+    >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
     alpha(I^(k)) >= alpha(I^(k-1)) + 1 >= alpha(I^(j)) + k - j.
+
+    The first elimination for k is at the probe d0 = min(cap, max(start,
+    h)): h = ceil(k*m*s/e) when ``scheme.star_core`` = (e, s, m), the
+    closed form's k * alpha-hat, and h = 0 otherwise.  The bracket is a
+    probe, never a proof: it only picks where to look, and a wrong
+    ``star_core`` costs eliminations, not correctness.  Two lemmas prove
+    the answer:
+
+    - Full rank at d proves every lower degree: if F != 0 lies in I_c with
+      c < d, then x_0^(d-c) F lies in I_d.  So full rank scans upward.
+    - Small nullity proves a floor: if F != 0 lies in I_(d-j), the
+      C(j+N, N) products x^m F, |m| = j, are independent in I_d, and the
+      nullity over Q is at most the nullity D mod p.  So a kernel at d
+      proves alpha >= d - j + 1, j the least with C(j+N, N) > D.
+
+    A kernel at d0 whose floor is below d0 steps back to d0 - 1: full rank
+    there makes d0 the answer, and a kernel there (the probe overshot)
+    rescans upward from the proved floor.  A step below the newest degree
+    of a flat's table builds fresh tables.  With h <= start the search is
+    the plain upward scan from start.
     """
     if not ks or any(j >= k for j, k in zip([0, *ks], ks)):
         raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
@@ -463,23 +514,27 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     orders = {k: [kappa for _, kappa in symbolic_multiplicities(scheme, k)]
               for k in ks}
     floors = {k: max(kappas) for k, kappas in orders.items()}
+    e, s, m = scheme.star_core or (1, 0, 0)
+    probes = {k: -(-k * m * s // e) for k in ks}  # ceil(k*m*s/e), or 0
     subs = [c.subspace for c in scheme.components]
     found = {}
     if mode == "modp":
-        found = _first_kernels([AdaptedTablesModP(sub, p1) for sub in subs],
-                               records, orders, floors, _kernel_modp)
+        found = _first_kernels(
+            lambda: [AdaptedTablesModP(sub, p1) for sub in subs],
+            records, orders, floors, probes, _kernel_modp)
         tables = [AdaptedTablesModP(sub, p2) for sub in subs]
         for record in records:
             k, d, record.primes = record.k, found[record.k][0], (p1, p2)
-            if d is not None and _kernel_modp(tables, orders[k], d) is None:
-                # Full rank mod p1 below d and mod p2 at d prove alpha > d.
+            if d is not None and _kernel_modp(tables, orders[k], d)[1] is None:
+                # alpha >= d is proved, and full rank mod p2 at d proves alpha > d.
                 record.field_mode, record.escalated = "rational", True
                 floors[k] = d + 1
+        del tables
     redo = [r for r in records if r.field_mode == "rational"]
     if redo:
-        tables = [AdaptedTablesQQ(sub) for sub in subs]  # frees p2's
-        found.update(_first_kernels(tables, redo, orders, floors,
-                                    _kernel_rational))
+        found.update(_first_kernels(
+            lambda: [AdaptedTablesQQ(sub) for sub in subs],
+            redo, orders, floors, probes, _kernel_rational))
     for record in records:
         d, kernel = found[record.k]
         record.degree_cap_hit = d is None

@@ -49,7 +49,8 @@ class FatFlatScheme:
 
     ``star_core`` records (e, s, m) when the scheme arises from the star
     construction W' + m*S_N(e, s), enabling the closed-form Waldschmidt
-    value m*s/e downstream.
+    value m*s/e downstream; ``alpha_table`` also takes its first degree
+    to eliminate from it.  It needs 1 <= e <= min(s, N) and m >= 1.
     """
 
     ambient_dim: int
@@ -72,6 +73,12 @@ class FatFlatScheme:
                 raise ValidationError(
                     "no component may contain another "
                     f"({a.label or a.subspace} vs {b.label or b.subspace})")
+        if self.star_core is not None:
+            e, s, m = self.star_core
+            if not (1 <= e <= min(s, self.ambient_dim) and m >= 1):
+                raise ValidationError(
+                    f"star_core (e, s, m) = {tuple(self.star_core)} needs "
+                    f"1 <= e <= min(s, N = {self.ambient_dim}) and m >= 1")
         object.__setattr__(self, "components", comps)
 
     @property

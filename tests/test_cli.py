@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from fatflats import verification
+from fatflats import cli, verification
 from fatflats.cli import main
 from fatflats.interpolation import form_product
 from fatflats.serialization import dump_json, form_to_dict
@@ -117,6 +117,7 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
     ("alpha", _scheme_json(multiplicity=True), []),
     ("alpha", _scheme_json(multiplicity=1.9), []),
     ("bounds", _scheme_json(star_core={"e": "2", "s": 4, "m": 1}), []),
+    ("alpha", _scheme_json(star_core={"e": 0, "s": 4, "m": 1}), []),
     ("alpha", _scheme_json(predicted_alpha_multiple=2.5), []),
     ("classify", _points_json(multiplicities=["two", 1]), []),
     ("classify", _points_json(multiplicities=[2.7, 1]), []),
@@ -137,7 +138,8 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
         "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
         "sweep-grid-entry-boolean", "primes-equal", "sweep-k-max-boolean",
         "sweep-k-max-float", "ambient-dim-string", "multiplicity-boolean",
-        "multiplicity-float", "star-core-string", "predicted-alpha-float",
+        "multiplicity-float", "star-core-string", "star-core-e-zero",
+        "predicted-alpha-float",
         "points-multiplicity-string", "points-multiplicity-float",
         "alpha-empty-k-range", "sweep-k-max-null", "points-two-coordinates",
         "points-four-coordinates", "points-coordinates-string",
@@ -157,6 +159,18 @@ def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
     assert result.exit_code == 2
     assert any(line.startswith("error: ")
                for line in result.output.splitlines())
+
+
+def test_internal_key_error_is_not_bad_input(runner, star_file, monkeypatch):
+    """Only documented input errors exit 2: a KeyError raised inside a
+    command body is a bug and surfaces as itself."""
+    def broken(*args, **kwargs):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(cli, "alpha_table", broken)
+    result = runner.invoke(main, ["alpha", str(star_file)])
+    assert isinstance(result.exception, KeyError)
+    assert result.exit_code != 2
 
 
 @pytest.mark.parametrize("field,value", [

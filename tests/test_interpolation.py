@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -456,14 +457,10 @@ def test_alpha_table_validation(star25):
             alpha_table(scheme, ks)
 
 
-def test_alpha_table_builds_each_table_once(star25, monkeypatch):
-    """S_2(2,5) for k <= 4: each k starts past the previous answer, so the
-    first prime eliminates each degree 1..10 once and the second prime only
-    at the answers; the ten points take their rows in closed form and
-    build no table degree.  A line and two points in P^3 for k <= 3: the
-    line gets one table per prime, built upward one degree at a time up to
-    the last degree that prime eliminates; the points build none."""
-    _, scheme = star25
+@pytest.fixture
+def search_log(monkeypatch):
+    """([(p, d) per mod-p elimination], [(table, degree) per table degree
+    built]), recorded while the test runs."""
     eliminated, built = [], []
     kernel_modp = interpolation._kernel_modp
     build_next = AdaptedTablesModP._build_next
@@ -478,10 +475,24 @@ def test_alpha_table_builds_each_table_once(star25, monkeypatch):
 
     monkeypatch.setattr(interpolation, "_kernel_modp", recording)
     monkeypatch.setattr(AdaptedTablesModP, "_build_next", counting)
+    return eliminated, built
+
+
+def test_alpha_table_builds_each_table_once(star25, search_log):
+    """S_2(2,5) for k <= 4: each k starts past the previous answer and
+    probes first at ceil(5k/2) (its star_core is (2, 5, 1)), so the first
+    prime eliminates 3, 4 | 5 | 8, 9 | 10, each degree at most once, and the
+    second prime only at the answers; the ten points take their rows in
+    closed form and build no table degree.  A line and two points in P^3
+    for k <= 3 (no star_core, so no probe): the
+    line gets one table per prime, built upward one degree at a time up to
+    the last degree that prime eliminates; the points build none."""
+    _, scheme = star25
+    eliminated, built = search_log
     table = alpha_table(scheme, range(1, 5))
     assert [r.alpha for r in table] == [4, 5, 9, 10]
     p1, p2 = DEFAULT_PRIMES
-    assert [d for p, d in eliminated if p == p1] == list(range(1, 11))
+    assert [d for p, d in eliminated if p == p1] == [3, 4, 5, 8, 9, 10]
     assert [d for p, d in eliminated if p == p2] == [4, 5, 9, 10]
     assert built == []
 
@@ -499,6 +510,42 @@ def test_alpha_table_builds_each_table_once(star25, monkeypatch):
     for p in DEFAULT_PRIMES:
         assert len({id(t) for t, _ in built if t.p == p}) == 1
         assert [d for t, d in built if t.p == p] == list(range(1, 9))
+
+
+def test_the_bracket_is_never_a_proof(star25, search_log):
+    """The star_core probe only picks the first degree to eliminate: the
+    true, an overshooting, an undershooting and no core give equal records.
+    An overshooting core steps back below the probe, and on the lines of
+    S_3(2,4) the step back builds fresh tables."""
+    _, star3 = star_configuration(3, 2, 4, seed=1)
+    eliminated, built = search_log
+    # alpha(I^(2)) = 4, and (2, 5, 1) probes ceil(2*5/2) = 5: a kernel
+    # there, then a kernel at 4, which start = max(orders) = 4 proves.
+    overshot = dataclasses.replace(star3, star_core=(2, 5, 1))
+    assert [r.alpha for r in alpha_table(overshot, [2])] == [4]
+    p1 = DEFAULT_PRIMES[0]
+    assert [d for p, d in eliminated if p == p1] == [5, 4]
+    assert len({id(t) for t, _ in built if t.p == p1}) == 2 * 6
+
+    for scheme, cores in ((star25[1], [(1, 5, 1), (2, 2, 1), None]),
+                          (star3, [(2, 5, 1), None])):
+        for mode, k_max in (("modp", 4), ("rational", 2)):
+            expected = alpha_table(scheme, range(1, k_max + 1), mode=mode)
+            for core in cores:
+                other = dataclasses.replace(scheme, star_core=core)
+                assert alpha_table(other, range(1, k_max + 1),
+                                   mode=mode) == expected
+
+
+def test_small_nullity_proves_the_answer(search_log):
+    """2*S_4(4,5) at k = 4 alone: the search starts at max(orders) = 8 and
+    probes ceil(4*2*5/4) = 10, where the forms have dimension 1 < C(1+4, 4),
+    so alpha >= 10 is proved without eliminating any lower degree."""
+    _, star = star_configuration(4, 4, 5, seed=1)
+    scheme = scale_multiplicities(star, 2)
+    eliminated, _ = search_log
+    assert [r.alpha for r in alpha_table(scheme, [4])] == [10]
+    assert [d for p, d in eliminated if p == DEFAULT_PRIMES[0]] == [10]
 
 
 @pytest.mark.parametrize("q", DEFAULT_PRIMES)

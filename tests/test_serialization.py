@@ -60,9 +60,14 @@ def test_load_any_scheme_dispatch(star25):
         load_any_scheme({"foo": 1})
 
 
-def test_malformed_inputs_raise_validation():
+def test_malformed_inputs_raise_validation(star25):
     with pytest.raises(ValidationError):
         scheme_from_dict({"ambient_dim": 2})
+    data = scheme_to_dict(star25[1])
+    for core in ({"e": 0, "s": 4, "m": 1}, {"e": 3, "s": 4, "m": 1},
+                 {"e": 2, "s": 1, "m": 1}, {"e": 2, "s": 4, "m": 0}):
+        with pytest.raises(ValidationError, match="star_core"):
+            scheme_from_dict(dict(data, star_core=core))
     with pytest.raises(ValidationError):
         points_from_dict({"points": [[1, 0, 1]]})
     with pytest.raises(ValidationError):
