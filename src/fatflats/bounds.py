@@ -83,6 +83,8 @@ def attach_lower(report: BoundReport, lower: LowerBound) -> BoundReport:
 
 
 def star_core_lower(scheme: FatFlatScheme) -> LowerBound:
+    """m*s/e for the scheme's star, which FatFlatScheme checked: the
+    scheme contains m*S_N(e, s), so alpha_hat is at least its constant."""
     if scheme.star_core is None:
         raise ValidationError("scheme does not carry star-construction data")
     e, s, m = scheme.star_core

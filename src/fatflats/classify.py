@@ -55,7 +55,7 @@ def exact_value(classification: Classification):
     return (classification.lower.value, None)
 
 
-def _line_cert(config: FatPointsP2, sub_indices, line_points):
+def _line_cert(sub_indices, line_points):
     """Proper transform of the line through the listed sub-config points,
     on the blow-up restricted to sub_indices."""
     local = {g: i for i, g in enumerate(sub_indices)}
@@ -69,7 +69,7 @@ def _sub_config(config: FatPointsP2, indices, multiplicities=None):
     return FatPointsP2(pts, multiplicities)
 
 
-def _transfer(config, indices, sub, cert):
+def _transfer(config, sub, cert):
     bound = nef_lower(sub, cert)
     return monotone_lower(config, sub, bound)
 
@@ -87,11 +87,11 @@ def _two_doubles_certificate(config: FatPointsP2, doubles):
             cert = NefCertificate(
                 divisor=DivisorClass(2, (1, 1, 1)),
                 decomposition=(
-                    (_line_cert(config, indices, (i, j)), 1),
-                    (_line_cert(config, indices, (i, k)), 1),
+                    (_line_cert(indices, (i, j)), 1),
+                    (_line_cert(indices, (i, k)), 1),
                     (ComponentClass("E", (0,)), 1),
                 ))
-            lower = _transfer(config, indices, sub, cert)
+            lower = _transfer(config, sub, cert)
             return indices, cert, lower
     return None
 
@@ -102,12 +102,12 @@ def _figure3_certificate(config: FatPointsP2, double_idx, simple_indices):
     n = len(indices)
     sub = _sub_config(config, indices)
     decomposition = tuple(
-        (_line_cert(config, indices, (double_idx, s)), 1)
+        (_line_cert(indices, (double_idx, s)), 1)
         for s in simple_indices) + ((ComponentClass("E", (0,)), 1),)
     cert = NefCertificate(
         divisor=DivisorClass(n - 1, (n - 2,) + (1,) * (n - 1)),
         decomposition=decomposition)
-    lower = _transfer(config, indices, sub, cert)
+    lower = _transfer(config, sub, cert)
     return indices, cert, lower
 
 
@@ -126,7 +126,7 @@ def _conic_certificate(config: FatPointsP2, double_idx):
         conic = ComponentClass("conic", (0, 1, 2, 3))
         cert = NefCertificate(divisor=DivisorClass(2, (1, 1, 1, 1)),
                               decomposition=((conic, 1),))
-        lower = _transfer(config, indices, sub, cert)
+        lower = _transfer(config, sub, cert)
         return indices, cert, lower
     return None
 
@@ -161,7 +161,7 @@ def classify(config: FatPointsP2) -> Classification:
             cert = NefCertificate(
                 divisor=DivisorClass(1, (1,)),
                 decomposition=((ComponentClass("line", (0,)), 1),))
-            lower = _transfer(config, indices, sub, cert)
+            lower = _transfer(config, sub, cert)
             return Classification(
                 NOT_BELOW, reason=MULTIPLICITY_AT_LEAST_3, lower=lower,
                 certificate=cert, subscheme_indices=indices,

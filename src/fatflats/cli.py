@@ -138,10 +138,10 @@ def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
     """Construct a named configuration and write its JSON."""
     def go():
         if kind in ("star", "fatflat"):
-            star, scheme = star_configuration(_given(n, 2), e, _given(s, 3),
-                                              seed=seed)
+            scheme = star_configuration(_given(n, 2), e, _given(s, 3),
+                                        seed=seed)
             if kind == "fatflat":
-                scheme = build_fat_flat(star, m)
+                scheme = build_fat_flat(scheme.star, m)
             return scheme_to_dict(scheme)
         if kind == "theorem-a":
             scheme = build_theorem_a(_given(n, 3), d, _given(s, 4), t, e,
@@ -315,6 +315,8 @@ def sweep(grid_file, seed, primes, output_dir):
             raise ValidationError("a sweep grid is a JSON object")
         ps = _primes_option(primes)
         k_max = require_int(grid.get("k_max", 2), "grid 'k_max'")
+        if k_max < 1:
+            raise ValidationError("grid 'k_max' must be >= 1")
         cap = grid.get("cap")
         if cap is not None:
             require_int(cap, "grid 'cap'")
@@ -327,9 +329,8 @@ def sweep(grid_file, seed, primes, output_dir):
                     for m in ms:
                         if not (1 <= e <= n and e <= s):
                             continue
-                        star, scheme = star_configuration(n, e, s, seed=seed)
-                        if m > 1:
-                            scheme = scale_multiplicities(scheme, m)
+                        scheme = scale_multiplicities(
+                            star_configuration(n, e, s, seed=seed), m)
                         for k in range(1, k_max + 1):
                             t0 = time.monotonic()
                             record = alpha_symbolic(scheme, k, degree_cap=cap,

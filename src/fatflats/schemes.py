@@ -44,19 +44,53 @@ class FatComponent:
 
 
 @dataclass(frozen=True)
+class StarData:
+    """The star construction m*S_N(e, s): the s hyperplanes H_1..H_s, cut
+    e at a time, each e-fold intersection L_S taken with multiplicity m.
+
+    ``s``, the flats and their labels are read off the hyperplanes; a
+    scheme that carries a star checks it (see FatFlatScheme).
+    """
+
+    hyperplanes: tuple
+    e: int
+    m: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
+
+    @property
+    def s(self) -> int:
+        return len(self.hyperplanes)
+
+    def components(self) -> tuple:
+        """m*S_N(e, s): every L_S with multiplicity m, labelled L followed
+        by the 1-based indices in S, the e-subsets S in lexicographic order."""
+        return tuple(
+            FatComponent(intersect_hyperplanes(self.hyperplanes, subset),
+                         self.m,
+                         label="L" + "".join(str(j + 1) for j in subset))
+            for subset in itertools.combinations(range(self.s), self.e))
+
+
+@dataclass(frozen=True)
 class FatFlatScheme:
     """Components with multiplicities; pairwise distinct, containment-free.
 
-    ``star_core`` records (e, s, m) when the scheme arises from the star
-    construction W' + m*S_N(e, s), enabling the closed-form Waldschmidt
-    value m*s/e downstream; ``alpha_table`` also takes its first degree
-    to eliminate from it.  It needs 1 <= e <= min(s, N) and m >= 1.
+    ``star``, when given, is a star construction that the scheme contains,
+    and construction checks exactly what the closed form downstream needs:
+    1 <= e <= min(s, N), m >= 1, the s hyperplanes are general hyperplanes
+    of P^N, and every e-fold intersection is a component of multiplicity
+    at least m.  Then W contains m*S_N(e, s), so I(W)^(k) lies in
+    I(m*S_N(e, s))^(k) for every k, and by this monotonicity
+    alpha_hat(W) >= alpha_hat(m*S_N(e, s)) = m*s/e.  ``star_core`` reads
+    (e, s, m) off the star; ``alpha_table`` takes its first degree to
+    eliminate from it.
     """
 
     ambient_dim: int
     components: tuple
-    star_core: tuple = None
-    predicted_alpha_multiple: int = None
+    star: StarData = None
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -65,6 +99,8 @@ class FatFlatScheme:
         for comp in comps:
             if comp.subspace.ambient_dim != self.ambient_dim:
                 raise ValidationError("component ambient dimension mismatch")
+        if self.star is not None:
+            self._check_star(comps)
         for a, b in itertools.combinations(comps, 2):
             if a.subspace == b.subspace:
                 raise ValidationError("components must be pairwise distinct")
@@ -73,17 +109,30 @@ class FatFlatScheme:
                 raise ValidationError(
                     "no component may contain another "
                     f"({a.label or a.subspace} vs {b.label or b.subspace})")
-        if self.star_core is not None:
-            e, s, m = self.star_core
-            if not (1 <= e <= min(s, self.ambient_dim) and m >= 1):
-                raise ValidationError(
-                    f"star_core (e, s, m) = {tuple(self.star_core)} needs "
-                    f"1 <= e <= min(s, N = {self.ambient_dim}) and m >= 1")
         object.__setattr__(self, "components", comps)
 
+    def _check_star(self, comps):
+        star, n = self.star, self.ambient_dim
+        if not (1 <= star.e <= min(star.s, n) and star.m >= 1):
+            raise ValidationError(
+                f"star_core (e, s, m) = {self.star_core} needs "
+                f"1 <= e <= min(s, N = {n}) and m >= 1")
+        if any(h.ambient_dim != n for h in star.hyperplanes) or \
+           not hyperplanes_general(star.hyperplanes):
+            raise ValidationError(
+                f"star_core hyperplanes are not general hyperplanes of P^{n}")
+        have = {c.subspace: c.multiplicity for c in comps}
+        for flat in star.components():
+            if have.get(flat.subspace, 0) < star.m:
+                raise ValidationError(
+                    f"star_core flat {flat.label} is not a component of "
+                    f"multiplicity >= {star.m}")
+
     @property
-    def max_multiplicity(self) -> int:
-        return max(c.multiplicity for c in self.components)
+    def star_core(self):
+        """(e, s, m) of the checked star, or None."""
+        star = self.star
+        return None if star is None else (star.e, star.s, star.m)
 
 
 @dataclass(frozen=True)
@@ -117,37 +166,16 @@ class FatPointsP2:
         return FatFlatScheme(2, comps)
 
 
-@dataclass(frozen=True)
-class StarData:
-    """Bookkeeping of a star configuration: which e-subset cut each piece."""
-
-    ambient_dim: int
-    e: int
-    s: int
-    hyperplanes: tuple
-    subsets: tuple  # subsets[i] is the index tuple that produced component i
-
-
-def star_configuration(N, e, s, hyperplanes=None, seed=0):
+def star_configuration(N, e, s, hyperplanes=None, seed=0) -> FatFlatScheme:
     """S_N(e, s): all e-wise intersections of s general hyperplanes."""
     if not (1 <= e <= N and e <= s):
         raise ValidationError("need 1 <= e <= N and e <= s")
     if hyperplanes is None:
         hyperplanes = random_general_hyperplanes(N, s, seed)
-    hyperplanes = tuple(hyperplanes)
-    if len(hyperplanes) != s or not hyperplanes_general(hyperplanes):
-        raise GenericityError("hyperplanes fail the genericity check")
-    subsets = tuple(itertools.combinations(range(s), e))
-    comps = []
-    for subset in subsets:
-        sub = intersect_hyperplanes(hyperplanes, subset)
-        label = "L" + "".join(str(j + 1) for j in subset)
-        comps.append(FatComponent(sub, 1, label=label))
-    if len({c.subspace for c in comps}) != len(comps):
-        raise GenericityError("e-fold intersections are not distinct")
-    star = StarData(N, e, s, hyperplanes, subsets)
-    scheme = FatFlatScheme(N, tuple(comps), star_core=(e, s, 1))
-    return star, scheme
+    star = StarData(hyperplanes, e)
+    if star.s != s:
+        raise ValidationError(f"need s = {s} hyperplanes, not {star.s}")
+    return FatFlatScheme(N, star.components(), star)
 
 
 def scale_multiplicities(scheme: FatFlatScheme, m: int) -> FatFlatScheme:
@@ -155,11 +183,10 @@ def scale_multiplicities(scheme: FatFlatScheme, m: int) -> FatFlatScheme:
         raise ValidationError("scale factor must be >= 1")
     comps = tuple(FatComponent(c.subspace, c.multiplicity * m, c.label)
                   for c in scheme.components)
-    core = scheme.star_core
-    if core is not None:
-        core = (core[0], core[1], core[2] * m)
-    return FatFlatScheme(scheme.ambient_dim, comps, star_core=core,
-                         predicted_alpha_multiple=scheme.predicted_alpha_multiple)
+    star = scheme.star
+    if star is not None:
+        star = StarData(star.hyperplanes, star.e, star.m * m)
+    return FatFlatScheme(scheme.ambient_dim, comps, star)
 
 
 def build_fat_flat(star: StarData, m: int, extras=()):
@@ -172,13 +199,9 @@ def build_fat_flat(star: StarData, m: int, extras=()):
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    N, e, s = star.ambient_dim, star.e, star.s
+    star = StarData(star.hyperplanes, star.e, m)
+    N, e = star.hyperplanes[0].ambient_dim, star.e
     cap = m // e
-    comps = []
-    for subset in star.subsets:
-        sub = intersect_hyperplanes(star.hyperplanes, subset)
-        label = "L" + "".join(str(j + 1) for j in subset)
-        comps.append(FatComponent(sub, m, label=label))
     hyps = [hyperplane_subspace(h) for h in star.hyperplanes]
     kept = []
     for idx, (sub, mu) in enumerate(extras):
@@ -193,8 +216,7 @@ def build_fat_flat(star: StarData, m: int, extras=()):
             raise ValidationError(
                 "extra subspace is not contained in the hyperplane union")
         kept.append(FatComponent(sub, mu, label=f"M{idx+1}"))
-    scheme = FatFlatScheme(N, tuple(comps) + tuple(kept), star_core=(e, s, m))
-    return scheme
+    return FatFlatScheme(N, star.components() + tuple(kept), star)
 
 
 def build_theorem_a(N, d, s, t, e, extras=(), hyperplanes=None, seed=0):
@@ -204,17 +226,10 @@ def build_theorem_a(N, d, s, t, e, extras=(), hyperplanes=None, seed=0):
     """
     if d != s * t:
         raise ValidationError("need d = s * t")
-    if not (1 <= e <= N and e <= s):
-        raise ValidationError("need 1 <= e <= N and e <= s")
     if any(mu > t for _, mu in extras):
         raise ValidationError("extra multiplicities must be <= t")
-    m = e * t
-    if hyperplanes is None:
-        hyperplanes = random_general_hyperplanes(N, s, seed)
-    star, _ = star_configuration(N, e, s, hyperplanes=hyperplanes)
-    scheme = build_fat_flat(star, m, extras)
-    return FatFlatScheme(N, scheme.components, star_core=scheme.star_core,
-                         predicted_alpha_multiple=d)
+    star = star_configuration(N, e, s, hyperplanes=hyperplanes, seed=seed).star
+    return build_fat_flat(star, e * t, extras)
 
 
 def build_quasi_star(s, seed=0):
@@ -225,8 +240,9 @@ def build_quasi_star(s, seed=0):
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
         lines = random_general_hyperplanes(2, s, rng.randrange(1 << 30))
-        star, _ = star_configuration(2, 2, s, hyperplanes=lines)
-        star_points = [intersect_hyperplanes(lines, sub) for sub in star.subsets]
+        star = StarData(lines, 2, 2)
+        doubles = star.components()
+        star_points = [c.subspace for c in doubles]
         line_subs = [hyperplane_subspace(h) for h in lines]
         qs = []
         try:
@@ -239,12 +255,9 @@ def build_quasi_star(s, seed=0):
             continue
         if s >= 3 and collinear(qs):
             continue
-        comps = [FatComponent(sp, 2, label=f"L{''.join(str(j+1) for j in sub)}")
-                 for sp, sub in zip(star_points, star.subsets)]
-        comps += [FatComponent(point_subspace(q), 1, label=f"q{i+1}")
-                  for i, q in enumerate(qs)]
-        return FatFlatScheme(2, tuple(comps), star_core=(2, s, 2),
-                             predicted_alpha_multiple=s)
+        simples = tuple(FatComponent(point_subspace(q), 1, label=f"q{i+1}")
+                        for i, q in enumerate(qs))
+        return FatFlatScheme(2, doubles + simples, star)
     raise GenericityError("quasi-star generation failed")
 
 
@@ -260,18 +273,13 @@ def build_rational_target(a, b, N=None, seed=0):
         N = max(a, 2)
     if N < a:
         raise ValidationError("ambient dimension must be at least a")
-    best = None
+    best = (b, 1)
     for m in range(2, b + 1):
-        if b % m == 0 and b // m >= a:
-            s = b // m
-            if best is None or s < best[0]:
-                best = (s, m)
-    if best is not None:
-        s, m = best
-        star, _ = star_configuration(N, a, s, seed=seed)
-        return build_fat_flat(star, m, extras=())
-    _, scheme = star_configuration(N, a, b, seed=seed)
-    return scheme
+        if b % m == 0 and a <= b // m < best[0]:
+            best = (b // m, m)
+    s, m = best
+    star = StarData(random_general_hyperplanes(N, s, seed), a, m)
+    return FatFlatScheme(N, star.components(), star)
 
 
 def symbolic_multiplicities(scheme: FatFlatScheme, k: int):
@@ -282,13 +290,17 @@ def symbolic_multiplicities(scheme: FatFlatScheme, k: int):
 
 
 def transform_scheme(scheme: FatFlatScheme, matrix) -> FatFlatScheme:
-    """Apply one invertible coordinate change to every component."""
+    """Apply one invertible coordinate change to every component and to
+    every hyperplane of the star."""
     comps = tuple(FatComponent(transform_subspace(c.subspace, matrix),
                                c.multiplicity, c.label)
                   for c in scheme.components)
-    return FatFlatScheme(scheme.ambient_dim, comps,
-                         star_core=scheme.star_core,
-                         predicted_alpha_multiple=scheme.predicted_alpha_multiple)
+    star = scheme.star
+    if star is not None:
+        star = StarData(
+            tuple(transform_subspace(hyperplane_subspace(h), matrix).forms[0]
+                  for h in star.hyperplanes), star.e, star.m)
+    return FatFlatScheme(scheme.ambient_dim, comps, star)
 
 
 # -- the planar families of the classification --------------------------------

@@ -13,7 +13,7 @@ from .errors import ValidationError
 from .interpolation import AlphaRecord, Form
 from .projective import LinForm, Subspace
 from .scalars import encode_scalar, parse_scalar
-from .schemes import FatComponent, FatFlatScheme, FatPointsP2
+from .schemes import FatComponent, FatFlatScheme, FatPointsP2, StarData
 
 _KINDS = {"E": "E", "line": "line", "conic": "conic"}
 
@@ -36,21 +36,27 @@ def require_list(value, what):
 
 # -- schemes -------------------------------------------------------------------
 
+def _form_to_list(form: LinForm) -> list:
+    return [encode_scalar(c) for c in form.coeffs]
+
+
+def _form_from_list(row) -> LinForm:
+    return LinForm([parse_scalar(c) for c in require_list(row, "form")])
+
+
 def scheme_to_dict(scheme: FatFlatScheme) -> dict:
     out = {
         "ambient_dim": scheme.ambient_dim,
         "components": [
-            {"forms": [[encode_scalar(c) for c in f.coeffs]
-                       for f in comp.subspace.forms],
+            {"forms": [_form_to_list(f) for f in comp.subspace.forms],
              "multiplicity": comp.multiplicity,
              "label": comp.label}
             for comp in scheme.components],
     }
-    if scheme.star_core is not None:
-        e, s, m = scheme.star_core
-        out["star_core"] = {"e": e, "s": s, "m": m}
-    if scheme.predicted_alpha_multiple is not None:
-        out["predicted_alpha_multiple"] = scheme.predicted_alpha_multiple
+    if scheme.star is not None:
+        out["star_core"] = {
+            "e": scheme.star.e, "m": scheme.star.m,
+            "hyperplanes": [_form_to_list(h) for h in scheme.star.hyperplanes]}
     return out
 
 
@@ -59,20 +65,16 @@ def scheme_from_dict(data: dict) -> FatFlatScheme:
         n = require_int(data["ambient_dim"], "ambient_dim")
         comps = []
         for entry in data["components"]:
-            forms = [LinForm([parse_scalar(c)
-                              for c in require_list(row, "form")])
-                     for row in entry["forms"]]
+            forms = [_form_from_list(row) for row in entry["forms"]]
             mult = require_int(entry["multiplicity"], "multiplicity")
             comps.append(FatComponent(Subspace(n, forms), mult,
                                       entry.get("label", "")))
         core = data.get("star_core")
-        star_core = tuple(require_int(core[key], f"star_core {key}")
-                          for key in "esm") if core else None
-        predicted = data.get("predicted_alpha_multiple")
-        if predicted is not None:
-            require_int(predicted, "predicted_alpha_multiple")
-        return FatFlatScheme(n, tuple(comps), star_core=star_core,
-                             predicted_alpha_multiple=predicted)
+        star = None if core is None else StarData(
+            [_form_from_list(row) for row in core["hyperplanes"]],
+            require_int(core["e"], "star_core e"),
+            require_int(core["m"], "star_core m"))
+        return FatFlatScheme(n, tuple(comps), star)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scheme JSON: {exc}") from exc
 

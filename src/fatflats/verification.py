@@ -89,7 +89,7 @@ def check_star_p3_linear():
     limit of alpha(I^(k))/k, met only at even k, so alpha is not linear
     in k at t=2, while the doubled star has alpha(I^(k)) = 4k.
     """
-    star, scheme = star_configuration(3, 2, 4, seed=1)
+    scheme = star_configuration(3, 2, 4, seed=1)
     report = attach_lower(upper_bounds(scheme, 4), star_core_lower(scheme))
     values = [require_alpha(r) for r in report.table]
     _expect(values == [3, 4, 7, 8], f"computed {values}")
@@ -99,7 +99,7 @@ def check_star_p3_linear():
     _expect(report.verdict == "exact" and report.upper == 2,
             f"verdict {report.verdict}, upper {report.upper}")
 
-    h1, h2, h3, h4 = star.hyperplanes
+    h1, h2, h3, h4 = scheme.star.hyperplanes
     products = {1: [(h1, 1), (h2, 1), (h3, 1)],
                 2: [(h1, 1), (h2, 1), (h3, 1), (h4, 1)],
                 3: [(h1, 2), (h2, 2), (h3, 2), (h4, 1)],
@@ -111,7 +111,7 @@ def check_star_p3_linear():
                 f"hyperplane product of degree {product.degree} "
                 f"not in I^({k})")
 
-    _expect(not _line_restriction_oracle(star.hyperplanes, degree=2),
+    _expect(not _line_restriction_oracle(scheme.star.hyperplanes, degree=2),
             "a quadric contains the six lines")
     slope = report.lower.value
     for k in (2, 4):
@@ -164,7 +164,7 @@ def _monomial_eval(point, exponents):
 
 def check_star_p2_values():
     """S_2(2,5): alpha = 4, alpha^(2) = 5, alpha^(4) = 10; verdict exact 5/2."""
-    _, scheme = star_configuration(2, 2, 5, seed=1)
+    scheme = star_configuration(2, 2, 5, seed=1)
     report = upper_bounds(scheme, 4)
     a1, a2, _, a4 = (require_alpha(r) for r in report.table)
     _expect((a1, a2, a4) == (4, 5, 10), f"got {(a1, a2, a4)}")
@@ -180,7 +180,7 @@ def check_star_p2_values():
 def _theorem_a_instance():
     hyperplanes = tuple(random_general_hyperplanes(3, 4, 1))
     rng = random.Random(11)
-    star, base = star_configuration(3, 2, 4, hyperplanes=hyperplanes)
+    base = star_configuration(3, 2, 4, hyperplanes=hyperplanes)
     avoid = [c.subspace for c in base.components] + \
             [hyperplane_subspace(h) for h in hyperplanes[1:]]
     pt = random_point_on(hyperplane_subspace(hyperplanes[0]), rng, avoid=avoid)
@@ -384,7 +384,7 @@ def check_property_suite(instances=200, seed=2024):
 
 def check_noncontainment():
     """S_2(2,5): degree obstruction certifies I^(2) not contained in I^2."""
-    _, scheme = star_configuration(2, 2, 5, seed=1)
+    scheme = star_configuration(2, 2, 5, seed=1)
     _expect(noncontainment_witness(scheme, 2, 2), "obstruction absent")
     _expect(not noncontainment_witness(scheme, 1, 1), "m=r=1 must be silent")
     return "alpha(I^(2)) = 5 < 8 = 2*alpha(I)"

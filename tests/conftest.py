@@ -6,5 +6,4 @@ from fatflats.schemes import star_configuration
 @pytest.fixture(scope="session")
 def star25():
     """The five-general-lines planar star, shared across modules."""
-    star, scheme = star_configuration(2, 2, 5, seed=1)
-    return star, scheme
+    return star_configuration(2, 2, 5, seed=1)

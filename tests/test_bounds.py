@@ -22,7 +22,7 @@ from fatflats.schemes import FatPointsP2, build_theorem_b_family
 
 
 def test_upper_bounds_star(star25):
-    _, scheme = star25
+    scheme = star25
     report = upper_bounds(scheme, 4)
     assert [r.alpha for r in report.table] == [4, 5, 9, 10]
     assert report.upper == Fraction(5, 2) and report.upper_k == 2
@@ -30,7 +30,7 @@ def test_upper_bounds_star(star25):
 
 
 def test_attach_lower_exact(star25):
-    _, scheme = star25
+    scheme = star25
     report = attach_lower(upper_bounds(scheme, 2), star_core_lower(scheme))
     assert report.lower.kind == "closed-form"
     assert report.verdict == "exact" and report.upper == Fraction(5, 2)
@@ -79,7 +79,7 @@ def test_check_linear_alpha():
 
 
 def test_beta_sequence(star25):
-    _, scheme = star25
+    scheme = star25
     report = upper_bounds(scheme, 4)
     assert beta_sequence(report.table) == [1, 4, 1]
     with pytest.raises(ValidationError):
@@ -113,7 +113,7 @@ def test_monotone_lower_transfer():
 
 
 def test_noncontainment_witness(star25):
-    _, scheme = star25
+    scheme = star25
     assert noncontainment_witness(scheme, 2, 2)  # 5 < 8
     assert not noncontainment_witness(scheme, 1, 1)
     with pytest.raises(ValidationError):

@@ -33,7 +33,8 @@ def test_build_writes_valid_scheme(star_file):
     data = json.loads(star_file.read_text())
     assert data["ambient_dim"] == 2
     assert len(data["components"]) == 6
-    assert data["star_core"] == {"e": 2, "s": 4, "m": 1}
+    core = data["star_core"]
+    assert (core["e"], len(core["hyperplanes"]), core["m"]) == (2, 4, 1)
 
 
 def test_build_stdout_and_kinds(runner):
@@ -48,7 +49,8 @@ def test_build_stdout_and_kinds(runner):
 
     result = _invoke(runner, ["build", "rational-target", "--a", "2",
                               "--b", "6"])
-    assert json.loads(result.output)["star_core"] == {"e": 2, "s": 2, "m": 3}
+    core = json.loads(result.output)["star_core"]
+    assert (core["e"], len(core["hyperplanes"]), core["m"]) == (2, 2, 3)
 
 
 def test_build_invalid_parameters_exit_2(runner):
@@ -96,6 +98,18 @@ def _scheme_json(multiplicity=1, **top):
     return json.dumps(data)
 
 
+# x = 0 and y = 0; with e = 2 they cut out the first point of _scheme_json.
+_LINES = [[1, 0, 0], [0, 1, 0]]
+
+# The three coordinate points of P^2 (Waldschmidt constant 3/2) claiming
+# the star of x = 0 and y = 0 with e = 1, whose closed form would be 2.
+_FALSE_STAR = json.dumps({
+    "ambient_dim": 2,
+    "components": [{"forms": forms, "multiplicity": 1} for forms in (
+        [[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]], _LINES)],
+    "star_core": {"e": 1, "m": 1, "hyperplanes": _LINES}})
+
+
 def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
     return json.dumps({"points": list(points),
                        "multiplicities": multiplicities})
@@ -116,9 +130,16 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
     ("alpha", _scheme_json(ambient_dim="x"), []),
     ("alpha", _scheme_json(multiplicity=True), []),
     ("alpha", _scheme_json(multiplicity=1.9), []),
-    ("bounds", _scheme_json(star_core={"e": "2", "s": 4, "m": 1}), []),
-    ("alpha", _scheme_json(star_core={"e": 0, "s": 4, "m": 1}), []),
-    ("alpha", _scheme_json(predicted_alpha_multiple=2.5), []),
+    ("bounds", _scheme_json(star_core={"e": "2", "m": 1,
+                                       "hyperplanes": _LINES}), []),
+    ("alpha", _scheme_json(star_core={"e": 0, "m": 1,
+                                      "hyperplanes": _LINES}), []),
+    ("alpha", _scheme_json(star_core={"e": 2, "s": 2, "m": 1}), []),
+    ("bounds", _FALSE_STAR, []),
+    ("alpha", _FALSE_STAR, []),
+    ("sweep", json.dumps({"m": [0]}), []),
+    ("sweep", json.dumps({"m": [-1]}), []),
+    ("sweep", json.dumps({"k_max": 0}), []),
     ("classify", _points_json(multiplicities=["two", 1]), []),
     ("classify", _points_json(multiplicities=[2.7, 1]), []),
     ("alpha", None, ["--k-min", "3", "--k-max", "1"]),
@@ -139,7 +160,8 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
         "sweep-grid-entry-boolean", "primes-equal", "sweep-k-max-boolean",
         "sweep-k-max-float", "ambient-dim-string", "multiplicity-boolean",
         "multiplicity-float", "star-core-string", "star-core-e-zero",
-        "predicted-alpha-float",
+        "star-core-no-hyperplanes", "false-star-bounds", "false-star-alpha",
+        "sweep-m-zero", "sweep-m-negative", "sweep-k-max-zero",
         "points-multiplicity-string", "points-multiplicity-float",
         "alpha-empty-k-range", "sweep-k-max-null", "points-two-coordinates",
         "points-four-coordinates", "points-coordinates-string",
@@ -159,6 +181,22 @@ def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
     assert result.exit_code == 2
     assert any(line.startswith("error: ")
                for line in result.output.splitlines())
+
+
+def test_checked_star_gives_the_closed_form(runner, tmp_path):
+    """The star of x = 0 and y = 0 with e = 2 is the point (0:0:1), a
+    component of _scheme_json: the file loads and the closed form 1 meets
+    alpha(I) = 1.  With e = 1 (_FALSE_STAR) it is refused above."""
+    path = tmp_path / "star.json"
+    path.write_text(_scheme_json(star_core={"e": 2, "m": 1,
+                                            "hyperplanes": _LINES}))
+    out = tmp_path / "report.json"
+    result = _invoke(runner, ["bounds", str(path), "--k-max", "1",
+                              "-o", str(out)])
+    assert result.exit_code == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "exact"
+    assert report["lower"]["value"] == 1
 
 
 def test_internal_key_error_is_not_bad_input(runner, star_file, monkeypatch):

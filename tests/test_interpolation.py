@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -110,10 +109,9 @@ def test_engine_matches_derivative_oracle_on_random_points():
 
 
 def test_star_p2_derivative_oracle(star25):
-    star, scheme = star25
-    from fatflats.projective import intersect_hyperplanes, point_coords
-    pts = [point_coords(intersect_hyperplanes(star.hyperplanes, sub))
-           for sub in star.subsets]
+    scheme = star25
+    from fatflats.projective import point_coords
+    pts = [point_coords(c.subspace) for c in scheme.components]
     config = FatPointsP2(pts, [1] * len(pts))
     for k, expected in ((1, 4), (2, 5), (3, 9)):
         assert require_alpha(alpha_symbolic(scheme, k)) == expected
@@ -319,7 +317,7 @@ def test_line_in_p3_alpha_one():
 
 
 def test_witness_is_member_and_modes_agree(star25):
-    _, scheme = star25
+    scheme = star25
     for k in (1, 2, 3):
         modp = alpha_symbolic(scheme, k)
         rational = alpha_symbolic(scheme, k, mode="rational")
@@ -331,7 +329,8 @@ def test_witness_is_member_and_modes_agree(star25):
 
 
 def test_membership_detects_nonmembers(star25):
-    star, scheme = star25
+    scheme = star25
+    star = scheme.star
     # One line of the configuration is not in I (vanishes on 4 of the 10
     # points only).
     single = form_product([(star.hyperplanes[0], 1)])
@@ -343,7 +342,7 @@ def test_membership_detects_nonmembers(star25):
 
 
 def test_membership_input_validation(star25):
-    _, scheme = star25
+    scheme = star25
     form = form_product([(LinForm([1, 0, 0, 0]), 1)])
     with pytest.raises(ValidationError):
         membership(form, scheme, 1)  # ambient mismatch
@@ -353,7 +352,7 @@ def test_membership_input_validation(star25):
 
 
 def test_cap_behavior(star25):
-    _, scheme = star25
+    scheme = star25
     record = alpha_symbolic(scheme, 1, degree_cap=3)  # alpha is 4
     assert not record.resolved and record.degree_cap_hit
     with pytest.raises(CapExceededError):
@@ -392,7 +391,7 @@ def test_bad_prime_replacement():
 
 
 def test_equal_primes_rejected(star25):
-    _, scheme = star25
+    scheme = star25
     p = DEFAULT_PRIMES[0]
     with pytest.raises(ValidationError):
         alpha_symbolic(scheme, 1, primes=(p, p))
@@ -432,7 +431,7 @@ def test_second_prime_confirms_or_escalates(q, monkeypatch):
 def test_scaled_star_alpha(star25):
     """alpha(I(2*S)^(k)) = alpha(I(S)^(2k)): scaling multiplicities is the
     same conditions as doubling k."""
-    _, scheme = star25
+    scheme = star25
     doubled = scale_multiplicities(scheme, 2)
     for k in (1, 2):
         assert require_alpha(alpha_symbolic(doubled, k)) == \
@@ -443,15 +442,15 @@ def test_alpha_star_p3_table():
     """Independent sanity for the P^3 line star: products of s-e+1 = 3
     hyperplanes give alpha <= 3, and the engine confirms equality (no
     quadric through the six lines)."""
-    star, scheme = star_configuration(3, 2, 4, seed=1)
-    witness = form_product([(h, 1) for h in star.hyperplanes[:3]])
+    scheme = star_configuration(3, 2, 4, seed=1)
+    witness = form_product([(h, 1) for h in scheme.star.hyperplanes[:3]])
     assert membership(witness, scheme, 1)
     assert require_alpha(alpha_symbolic(scheme, 1)) == 3
     assert require_alpha(alpha_symbolic(scheme, 2)) == 4
 
 
 def test_alpha_table_validation(star25):
-    _, scheme = star25
+    scheme = star25
     for ks in ([0, 1], [2, 2], [3, 1], [], range(3, 2)):
         with pytest.raises(ValidationError):
             alpha_table(scheme, ks)
@@ -487,7 +486,7 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
     for k <= 3 (no star_core, so no probe): the
     line gets one table per prime, built upward one degree at a time up to
     the last degree that prime eliminates; the points build none."""
-    _, scheme = star25
+    scheme = star25
     eliminated, built = search_log
     table = alpha_table(scheme, range(1, 5))
     assert [r.alpha for r in table] == [4, 5, 9, 10]
@@ -512,37 +511,42 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
         assert [d for t, d in built if t.p == p] == list(range(1, 9))
 
 
-def test_the_bracket_is_never_a_proof(star25, search_log):
+def test_the_bracket_is_never_a_proof(star25, search_log, monkeypatch):
     """The star_core probe only picks the first degree to eliminate: the
     true, an overshooting, an undershooting and no core give equal records.
     An overshooting core steps back below the probe, and on the lines of
-    S_3(2,4) the step back builds fresh tables."""
-    _, star3 = star_configuration(3, 2, 4, seed=1)
+    S_3(2,4) the step back builds fresh tables.  A scheme cannot be built
+    with a false star, so each false core is injected in place of the
+    ``star_core`` that the checked star gives."""
+    def table_with_core(scheme, ks, core, **kw):
+        with monkeypatch.context() as mp:
+            mp.setattr(FatFlatScheme, "star_core", property(lambda _: core))
+            return alpha_table(scheme, ks, **kw)
+
+    star3 = star_configuration(3, 2, 4, seed=1)
     eliminated, built = search_log
     # alpha(I^(2)) = 4, and (2, 5, 1) probes ceil(2*5/2) = 5: a kernel
     # there, then a kernel at 4, which start = max(orders) = 4 proves.
-    overshot = dataclasses.replace(star3, star_core=(2, 5, 1))
-    assert [r.alpha for r in alpha_table(overshot, [2])] == [4]
+    overshot = table_with_core(star3, [2], (2, 5, 1))
+    assert [r.alpha for r in overshot] == [4]
     p1 = DEFAULT_PRIMES[0]
     assert [d for p, d in eliminated if p == p1] == [5, 4]
     assert len({id(t) for t, _ in built if t.p == p1}) == 2 * 6
 
-    for scheme, cores in ((star25[1], [(1, 5, 1), (2, 2, 1), None]),
+    for scheme, cores in ((star25, [(1, 5, 1), (2, 2, 1), None]),
                           (star3, [(2, 5, 1), None])):
         for mode, k_max in (("modp", 4), ("rational", 2)):
             expected = alpha_table(scheme, range(1, k_max + 1), mode=mode)
             for core in cores:
-                other = dataclasses.replace(scheme, star_core=core)
-                assert alpha_table(other, range(1, k_max + 1),
-                                   mode=mode) == expected
+                assert table_with_core(scheme, range(1, k_max + 1), core,
+                                       mode=mode) == expected
 
 
 def test_small_nullity_proves_the_answer(search_log):
     """2*S_4(4,5) at k = 4 alone: the search starts at max(orders) = 8 and
     probes ceil(4*2*5/4) = 10, where the forms have dimension 1 < C(1+4, 4),
     so alpha >= 10 is proved without eliminating any lower degree."""
-    _, star = star_configuration(4, 4, 5, seed=1)
-    scheme = scale_multiplicities(star, 2)
+    scheme = scale_multiplicities(star_configuration(4, 4, 5, seed=1), 2)
     eliminated, _ = search_log
     assert [r.alpha for r in alpha_table(scheme, [4])] == [10]
     assert [d for p, d in eliminated if p == DEFAULT_PRIMES[0]] == [10]

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from fatflats.bounds import star_core_lower
 from fatflats.errors import ValidationError
 from fatflats.projective import (
     LinForm,
@@ -15,6 +16,7 @@ from fatflats.schemes import (
     FatComponent,
     FatFlatScheme,
     FatPointsP2,
+    StarData,
     build_fat_flat,
     build_quasi_star,
     build_rational_target,
@@ -24,12 +26,13 @@ from fatflats.schemes import (
     star_configuration,
     support_line,
     symbolic_multiplicities,
+    transform_scheme,
 )
 
 
 def test_star_configuration_component_count():
     for n, e, s in [(2, 2, 4), (3, 2, 4), (3, 3, 4), (4, 2, 5)]:
-        _, scheme = star_configuration(n, e, s, seed=1)
+        scheme = star_configuration(n, e, s, seed=1)
         assert len(scheme.components) == comb(s, e)
         assert all(c.subspace.codim == e for c in scheme.components)
         assert scheme.star_core == (e, s, 1)
@@ -57,8 +60,44 @@ def test_scheme_rejects_duplicates_and_empty():
         FatFlatScheme(2, ())
 
 
+def test_scheme_checks_its_star():
+    """A star is accepted only if the scheme contains m*S_N(e, s)."""
+    scheme = star_configuration(3, 2, 4, seed=1)
+    hyps, comps = scheme.star.hyperplanes, scheme.components
+    assert FatFlatScheme(3, comps, StarData(hyps, 2)) == scheme
+    bad_stars = [
+        StarData(hyps, 0), StarData(hyps, 2, 0), StarData(hyps[:1], 2),
+        StarData(hyps, 2, 2),                 # the lines have multiplicity 1
+        StarData(hyps[:3] + hyps[:1], 2),     # not general
+        StarData([LinForm([1, 0, 0])] * 4, 2),  # hyperplanes of P^2
+    ]
+    for star in bad_stars:
+        with pytest.raises(ValidationError, match="star_core"):
+            FatFlatScheme(3, comps, star)
+
+
+def test_star_over_its_own_planes_is_refused():
+    """S_3(2,4) claiming e = 1 over its own four planes (closed form 4,
+    true constant 2) is refused when built: the planes are not components,
+    so no search ever starts from that probe."""
+    scheme = star_configuration(3, 2, 4, seed=1)
+    planes = StarData(scheme.star.hyperplanes, 1)
+    with pytest.raises(ValidationError, match="star_core flat L1 "):
+        FatFlatScheme(3, scheme.components, planes)
+
+
+def test_transform_scheme_moves_the_star():
+    scheme = build_fat_flat(star_configuration(3, 2, 4, seed=1).star, 2)
+    matrix = [[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, -1], [1, 0, 0, 1]]
+    moved = transform_scheme(scheme, matrix)
+    assert moved.star.hyperplanes != scheme.star.hyperplanes
+    assert {c.subspace for c in moved.star.components()} == \
+        {c.subspace for c in moved.components}
+    assert star_core_lower(moved) == star_core_lower(scheme)
+
+
 def test_scale_multiplicities():
-    _, scheme = star_configuration(2, 2, 4, seed=1)
+    scheme = star_configuration(2, 2, 4, seed=1)
     doubled = scale_multiplicities(scheme, 3)
     assert all(c.multiplicity == 3 for c in doubled.components)
     assert doubled.star_core == (2, 4, 3)
@@ -67,8 +106,7 @@ def test_scale_multiplicities():
 
 
 def test_symbolic_multiplicities():
-    _, scheme = star_configuration(2, 2, 3, seed=1)
-    scheme = scale_multiplicities(scheme, 2)
+    scheme = scale_multiplicities(star_configuration(2, 2, 3, seed=1), 2)
     orders = symbolic_multiplicities(scheme, 3)
     assert all(kappa == 6 for _, kappa in orders)
     with pytest.raises(ValidationError):
@@ -76,7 +114,7 @@ def test_symbolic_multiplicities():
 
 
 def test_build_fat_flat_extra_validation():
-    star, _ = star_configuration(3, 2, 4, seed=1)
+    star = star_configuration(3, 2, 4, seed=1).star
     h0 = hyperplane_subspace(star.hyperplanes[0])
     # A point inside H_0 but off the star lines.
     import random
@@ -107,7 +145,7 @@ def test_build_theorem_a_parameter_checks():
     with pytest.raises(ValidationError):
         build_theorem_a(3, 5, 4, 1, 2)  # d != s*t
     scheme = build_theorem_a(3, 4, 4, 1, 2, seed=1)
-    assert scheme.predicted_alpha_multiple == 4
+    assert scheme.star_core == (2, 4, 2)  # m*s/e = 4 = d
     assert all(c.multiplicity == 2 for c in scheme.components)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,14 @@ from fatflats.classify import classify
 from fatflats.divisors import ComponentClass, DivisorClass, NefCertificate
 from fatflats.errors import ValidationError
 from fatflats.interpolation import alpha_symbolic, form_product
-from fatflats.projective import LinForm
-from fatflats.schemes import build_theorem_b_family
+from fatflats.projective import (
+    LinForm,
+    hyperplane_subspace,
+    point_subspace,
+    random_general_hyperplanes,
+    random_point_on,
+)
+from fatflats.schemes import build_theorem_a, build_theorem_b_family
 from fatflats.serialization import (
     alpha_record_to_dict,
     certificate_from_dict,
@@ -28,11 +35,11 @@ from fatflats.serialization import (
 
 
 def test_scheme_roundtrip(star25):
-    _, scheme = star25
+    scheme = star25
     data = json.loads(dump_json(scheme_to_dict(scheme)))
     back = scheme_from_dict(data)
     assert back == scheme
-    assert back.star_core == scheme.star_core
+    assert back.star == scheme.star
 
 
 def test_scheme_roundtrip_with_fractional_forms():
@@ -46,13 +53,25 @@ def test_scheme_roundtrip_with_fractional_forms():
     assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
 
 
+def test_theorem_a_roundtrip_with_extra():
+    """W_2 = {a point on H_1} + 2*S_3(2,4) comes back with its star."""
+    hyperplanes = random_general_hyperplanes(3, 4, 1)
+    avoid = [hyperplane_subspace(h) for h in hyperplanes[1:]]
+    pt = random_point_on(hyperplane_subspace(hyperplanes[0]),
+                         random.Random(3), avoid=avoid)
+    w = build_theorem_a(3, 4, 4, 1, 2, extras=((point_subspace(pt), 1),),
+                        hyperplanes=hyperplanes)
+    assert len(w.components) == 7 and w.star_core == (2, 4, 2)
+    assert scheme_from_dict(json.loads(dump_json(scheme_to_dict(w)))) == w
+
+
 def test_points_roundtrip():
     config = build_theorem_b_family("c")
     assert points_from_dict(points_to_dict(config)) == config
 
 
 def test_load_any_scheme_dispatch(star25):
-    _, scheme = star25
+    scheme = star25
     assert load_any_scheme(scheme_to_dict(scheme)) == scheme
     config = build_theorem_b_family("c")
     assert load_any_scheme(points_to_dict(config)) == config
@@ -63,11 +82,15 @@ def test_load_any_scheme_dispatch(star25):
 def test_malformed_inputs_raise_validation(star25):
     with pytest.raises(ValidationError):
         scheme_from_dict({"ambient_dim": 2})
-    data = scheme_to_dict(star25[1])
-    for core in ({"e": 0, "s": 4, "m": 1}, {"e": 3, "s": 4, "m": 1},
-                 {"e": 2, "s": 1, "m": 1}, {"e": 2, "s": 4, "m": 0}):
+    data = scheme_to_dict(star25)
+    hyps = data["star_core"]["hyperplanes"]
+    for e, m, rows in ((0, 1, hyps), (3, 1, hyps), (2, 1, hyps[:1]),
+                       (2, 0, hyps)):
+        core = {"e": e, "m": m, "hyperplanes": rows}
         with pytest.raises(ValidationError, match="star_core"):
             scheme_from_dict(dict(data, star_core=core))
+    with pytest.raises(ValidationError, match="malformed scheme JSON"):
+        scheme_from_dict(dict(data, star_core={"e": 2, "s": 5, "m": 1}))
     with pytest.raises(ValidationError):
         points_from_dict({"points": [[1, 0, 1]]})
     with pytest.raises(ValidationError):
@@ -92,7 +115,7 @@ def test_form_roundtrip():
 
 
 def test_modp_forms_are_not_serialized(star25):
-    _, scheme = star25
+    scheme = star25
     record = alpha_symbolic(scheme, 1)
     assert record.witness.field != "rational"
     with pytest.raises(ValidationError):
@@ -112,7 +135,7 @@ def test_certificate_roundtrip():
 
 
 def test_report_dict_shape(star25):
-    _, scheme = star25
+    scheme = star25
     report = attach_lower(upper_bounds(scheme, 2), star_core_lower(scheme))
     data = report_to_dict(report)
     assert data["verdict"] == "exact"
@@ -133,7 +156,7 @@ def test_classification_dict_shape():
 
 
 def test_dump_json_deterministic(tmp_path, star25):
-    _, scheme = star25
+    scheme = star25
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     dump_json(scheme_to_dict(scheme), p1)
