@@ -13,7 +13,6 @@ from fractions import Fraction
 from .divisors import NefCertificate, lower_bound as nef_lower_bound
 from .errors import ValidationError
 from .interpolation import alpha_symbolic, alpha_table, require_alpha
-from .scalars import DEFAULT_PRIMES
 from .schemes import FatFlatScheme, FatPointsP2
 
 
@@ -51,8 +50,7 @@ class BoundReport:
 
 
 def upper_bounds(scheme: FatFlatScheme, k_max: int, mode: str = "modp",
-                 degree_cap: int = None, primes=DEFAULT_PRIMES,
-                 label: str = "") -> BoundReport:
+                 degree_cap: int = None, label: str = "") -> BoundReport:
     """alpha(I^(k)) for k = 1..k_max; upper bound is the min of alpha/k.
 
     Cap-exceeded entries stay in the table flagged unresolved; they never
@@ -61,8 +59,7 @@ def upper_bounds(scheme: FatFlatScheme, k_max: int, mode: str = "modp",
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    table = [alpha_symbolic(scheme, k, mode=mode, degree_cap=degree_cap,
-                            primes=primes)
+    table = [alpha_symbolic(scheme, k, mode=mode, degree_cap=degree_cap)
              for k in range(1, k_max + 1)]
     report = BoundReport(label=label, table=table)
     return report.finalize()
@@ -91,9 +88,7 @@ def star_core_lower(scheme: FatFlatScheme) -> LowerBound:
     return closed_form_star(e, s, m)
 
 
-def check_linear_alpha(scheme: FatFlatScheme, t: int, k_max: int,
-                       mode: str = "modp", degree_cap: int = None,
-                       primes=DEFAULT_PRIMES):
+def check_linear_alpha(scheme: FatFlatScheme, t: int, k_max: int):
     """True iff alpha(I^(k)) = t*k for all k <= k_max.
 
     Returns (ok, failing_k) with failing_k the first violation, if any.
@@ -102,9 +97,7 @@ def check_linear_alpha(scheme: FatFlatScheme, t: int, k_max: int,
     if t < 1:
         raise ValidationError("t must be >= 1")
     for k in range(1, k_max + 1):
-        record = alpha_symbolic(scheme, k, mode=mode, degree_cap=degree_cap,
-                                primes=primes)
-        if require_alpha(record) != t * k:
+        if require_alpha(alpha_symbolic(scheme, k)) != t * k:
             return False, k
     return True, None
 
@@ -142,9 +135,7 @@ def nef_lower(config: FatPointsP2, cert: NefCertificate) -> LowerBound:
                       {"t": cert.divisor.t, "drops": list(cert.divisor.drops)})
 
 
-def noncontainment_witness(scheme: FatFlatScheme, m: int, r: int,
-                           mode: str = "modp", degree_cap: int = None,
-                           primes=DEFAULT_PRIMES) -> bool:
+def noncontainment_witness(scheme: FatFlatScheme, m: int, r: int) -> bool:
     """Degree obstruction to I^(m) being contained in I^r.
 
     True certifies non-containment via alpha(I^(m)) < r * alpha(I);
@@ -152,6 +143,5 @@ def noncontainment_witness(scheme: FatFlatScheme, m: int, r: int,
     """
     if m < 1 or r < 1:
         raise ValidationError("need m, r >= 1")
-    table = alpha_table(scheme, sorted({1, m}), mode=mode,
-                        degree_cap=degree_cap, primes=primes)
+    table = alpha_table(scheme, sorted({1, m}))
     return require_alpha(table[-1]) < r * require_alpha(table[0])

@@ -1,9 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 validation error, 3 cap exceeded / unresolved,
-4 certificate failure.  Fixed seed and primes give byte-identical result
-files; wall-clock timing is confined to the sweep's millis column and to
-stderr.
+4 certificate failure.  Fixed seeds give byte-identical result files;
+wall-clock timing is confined to the sweep's millis column and to stderr.
 """
 
 import csv
@@ -23,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .interpolation import alpha_symbolic, alpha_table, membership
-from .scalars import DEFAULT_PRIMES, check_field_prime, encode_scalar
+from .scalars import DEFAULT_PRIMES, encode_scalar
 from .schemes import (
     FatPointsP2,
     build_fat_flat,
@@ -55,20 +54,6 @@ EXIT_CERTIFICATE = 4
 
 CAP_HELP = ("degree cap (default: the first degree at which a form must "
             "exist, so the search always resolves)")
-
-
-def _primes_option(value):
-    if value is None:
-        return DEFAULT_PRIMES
-    try:
-        parts = [int(x) for x in value.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"--primes wants integers p1,p2: {exc}") from exc
-    if len(parts) != 2:
-        raise ValidationError("--primes wants exactly two primes p1,p2")
-    if parts[0] == parts[1]:
-        raise ValidationError("--primes wants two different primes p1,p2")
-    return tuple(check_field_prime(p) for p in parts)
 
 
 def _grid_ints(grid, key, default):
@@ -169,15 +154,14 @@ def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
 @click.option("--k-min", type=int, default=1)
 @click.option("--k-max", type=int, default=1)
 @click.option("--mode", type=click.Choice(["rational", "modp"]), default="modp")
-@click.option("--primes", default=None, help="p1,p2 (31-bit primes)")
 @click.option("--cap", type=int, default=None, help=CAP_HELP)
 @click.option("-o", "--output", type=click.Path(), default=None)
-def alpha(scheme_file, k_min, k_max, mode, primes, cap, output):
+def alpha(scheme_file, k_min, k_max, mode, cap, output):
     """Initial degrees of symbolic powers, k = k-min..k-max."""
     def go():
         scheme = _load_scheme_arg(scheme_file)
         table = alpha_table(scheme, range(k_min, k_max + 1), mode=mode,
-                            degree_cap=cap, primes=_primes_option(primes))
+                            degree_cap=cap)
         rows = []
         for record in table:
             rows.append({"k": record.k, "alpha": record.alpha,
@@ -200,19 +184,17 @@ def alpha(scheme_file, k_min, k_max, mode, primes, cap, output):
 @click.argument("scheme_file", type=click.Path(exists=True))
 @click.option("--k-max", type=int, default=2)
 @click.option("--mode", type=click.Choice(["rational", "modp"]), default="modp")
-@click.option("--primes", default=None)
 @click.option("--cap", type=int, default=None, help=CAP_HELP)
 @click.option("--points-file", type=click.Path(exists=True), default=None,
               help="planar configuration carrying the certificate")
 @click.option("--certificate-file", type=click.Path(exists=True), default=None)
 @click.option("-o", "--output", type=click.Path(), default=None)
-def bounds(scheme_file, k_max, mode, primes, cap, points_file,
-           certificate_file, output):
+def bounds(scheme_file, k_max, mode, cap, points_file, certificate_file,
+           output):
     """Bound report: per-k alpha table, upper = min alpha/k, certified lower."""
     def go():
         scheme = _load_scheme_arg(scheme_file)
         report = upper_bounds(scheme, k_max, mode=mode, degree_cap=cap,
-                              primes=_primes_option(primes),
                               label=scheme_file)
         if certificate_file is not None:
             if points_file is None:
@@ -300,20 +282,19 @@ def verify_paper(only):
 @main.command()
 @click.argument("grid_file", type=click.Path(exists=True))
 @click.option("--seed", type=int, default=0)
-@click.option("--primes", default=None)
 @click.option("-o", "--output-dir", type=click.Path(), default=".")
-def sweep(grid_file, seed, primes, output_dir):
+def sweep(grid_file, seed, output_dir):
     """Alpha sweep over a parameter grid; CSV + JSON result store.
 
     Grid JSON: {"N": [..], "e": [..], "s": [..], "m": [..], "k_max": int,
-    "cap": optional int}.  Rows are ordered deterministically.
+    "cap": optional int}.  Rows are ordered deterministically.  An (N, e, s)
+    outside 1 <= e <= N, e <= s is skipped; a grid with none left exits 2.
     """
     def go():
         import os
         grid = load_json(grid_file)
         if not isinstance(grid, dict):
             raise ValidationError("a sweep grid is a JSON object")
-        ps = _primes_option(primes)
         k_max = require_int(grid.get("k_max", 2), "grid 'k_max'")
         if k_max < 1:
             raise ValidationError("grid 'k_max' must be >= 1")
@@ -322,30 +303,31 @@ def sweep(grid_file, seed, primes, output_dir):
             require_int(cap, "grid 'cap'")
         ns, es, ss, ms = (_grid_ints(grid, key, default) for key, default in
                           (("N", [2]), ("e", [2]), ("s", [3]), ("m", [1])))
+        if not ms or ms[0] < 1:
+            raise ValidationError(f"grid 'm' needs entries >= 1, not {ms}")
+        stars = [(n, e, s) for n in ns for e in es for s in ss
+                 if 1 <= e <= n and e <= s]
+        if not stars:
+            raise ValidationError("no grid (N, e, s) has 1 <= e <= min(N, s)")
+        p1, p2 = DEFAULT_PRIMES
         rows = []
-        for n in ns:
-            for e in es:
-                for s in ss:
-                    for m in ms:
-                        if not (1 <= e <= n and e <= s):
-                            continue
-                        scheme = scale_multiplicities(
-                            star_configuration(n, e, s, seed=seed), m)
-                        for k in range(1, k_max + 1):
-                            t0 = time.monotonic()
-                            record = alpha_symbolic(scheme, k, degree_cap=cap,
-                                                    primes=ps)
-                            millis = int((time.monotonic() - t0) * 1000)
-                            rows.append({
-                                "N": n, "e": e, "s": s, "m": m, "k": k,
-                                "alpha": record.alpha,
-                                "alpha_over_k": "" if record.alpha is None else
-                                encode_scalar(Fraction(record.alpha, k)),
-                                "mode": record.field_mode,
-                                "prime1": record.primes[0],
-                                "prime2": record.primes[1],
-                                "millis": millis,
-                            })
+        for n, e, s in stars:
+            for m in ms:
+                scheme = scale_multiplicities(
+                    star_configuration(n, e, s, seed=seed), m)
+                for k in range(1, k_max + 1):
+                    t0 = time.monotonic()
+                    record = alpha_symbolic(scheme, k, degree_cap=cap)
+                    millis = int((time.monotonic() - t0) * 1000)
+                    rows.append({
+                        "N": n, "e": e, "s": s, "m": m, "k": k,
+                        "alpha": record.alpha,
+                        "alpha_over_k": "" if record.alpha is None else
+                        encode_scalar(Fraction(record.alpha, k)),
+                        "mode": record.field_mode,
+                        "prime1": p1, "prime2": p2,
+                        "millis": millis,
+                    })
         os.makedirs(output_dir, exist_ok=True)
         csv_path = os.path.join(output_dir, "sweep.csv")
         fields = ["N", "e", "s", "m", "k", "alpha", "alpha_over_k", "mode",
@@ -354,7 +336,7 @@ def sweep(grid_file, seed, primes, output_dir):
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
-        dump_json({"seed": seed, "primes": list(ps), "rows": rows},
+        dump_json({"seed": seed, "primes": [p1, p2], "rows": rows},
                   os.path.join(output_dir, "sweep.json"))
         click.echo(f"wrote {csv_path} ({len(rows)} rows)", err=True)
 

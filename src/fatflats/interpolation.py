@@ -464,10 +464,10 @@ def _first_kernels(new_tables, records, orders, floors, probes, kernel_at):
 
 
 def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
-                degree_cap: int = None, primes=DEFAULT_PRIMES) -> list:
+                degree_cap: int = None) -> list:
     """One :class:`AlphaRecord` (alpha(I^(k)) with witness) per k of the
-    strictly increasing sequence ``ks``.  modp mode: the first prime p1
-    searches every k on one set of tables; the second, on its own tables,
+    strictly increasing sequence ``ks``.  modp mode: of ``DEFAULT_PRIMES``,
+    p1 searches every k on one set of tables; p2, on its own tables,
     eliminates only at each answer d; full rank there re-runs that k over Q
     (``escalated``) from d + 1, as rational mode runs every k.
 
@@ -496,9 +496,11 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
 
     A kernel at d0 whose floor is below d0 steps back to d0 - 1: full rank
     there makes d0 the answer, and a kernel there (the probe overshot)
-    rescans upward from the proved floor.  A step below the newest degree
-    of a flat's table builds fresh tables.  With h <= start the search is
-    the plain upward scan from start.
+    rescans upward from the proved floor.  That rescan is only a guard: a
+    checked star gives h <= k * alpha-hat <= alpha(I^(k)), so only a test
+    that injects a false ``star_core`` reaches it.  A step below the newest
+    degree of a flat's table builds fresh tables.  With h <= start the
+    search is the plain upward scan from start.
     """
     if not ks or any(j >= k for j, k in zip([0, *ks], ks)):
         raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
@@ -506,9 +508,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
         raise ValidationError("degree cap must be >= 1")
     if mode not in ("modp", "rational"):
         raise ValidationError(f"unknown mode {mode!r}")
-    p1, p2 = primes
-    if p1 == p2:
-        raise ValidationError(f"the two primes must differ, not {p1} twice")
+    p1, p2 = DEFAULT_PRIMES
     records = [AlphaRecord(k=k, field_mode=mode, degree_cap=degree_cap or
                            default_degree_cap(scheme, k)) for k in ks]
     orders = {k: [kappa for _, kappa in symbolic_multiplicities(scheme, k)]
@@ -549,9 +549,9 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
 
 
 def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
-                   degree_cap: int = None, primes=DEFAULT_PRIMES) -> AlphaRecord:
+                   degree_cap: int = None) -> AlphaRecord:
     """alpha(I^(k)) with witness: the one-k :func:`alpha_table`."""
-    return alpha_table(scheme, [k], mode, degree_cap, primes)[0]
+    return alpha_table(scheme, [k], mode, degree_cap)[0]
 
 
 def require_alpha(record: AlphaRecord) -> int:

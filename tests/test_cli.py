@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from fatflats import cli, verification
 from fatflats.cli import main
 from fatflats.interpolation import form_product
+from fatflats.scalars import DEFAULT_PRIMES
 from fatflats.serialization import dump_json, form_to_dict
 from fatflats.projective import LinForm
 
@@ -76,12 +77,6 @@ def test_alpha_cap_exit_3(runner, star_file):
     assert result.exit_code == 3
 
 
-def test_alpha_rejects_bad_primes(runner, star_file):
-    result = runner.invoke(main, ["alpha", str(star_file),
-                                  "--primes", "101,103"])
-    assert result.exit_code == 2
-
-
 def test_alpha_missing_file_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"neither\": 1}")
@@ -118,13 +113,11 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
 @pytest.mark.parametrize("command,content,extra", [
     ("alpha", "{\"components\": [", []),
     ("alpha", "5", []),
-    ("alpha", None, ["--primes", "abc"]),
     ("sweep", json.dumps({"N": [2], "k_max": "x"}), []),
     ("sweep", "[2]", []),
     ("sweep", json.dumps({"N": 2}), []),
     ("sweep", json.dumps({"N": ["x"]}), []),
     ("sweep", json.dumps({"e": [True]}), []),
-    ("alpha", None, ["--primes", "2147483647,2147483647"]),
     ("sweep", json.dumps({"k_max": True}), []),
     ("sweep", json.dumps({"k_max": 2.7}), []),
     ("alpha", _scheme_json(ambient_dim="x"), []),
@@ -140,6 +133,8 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
     ("sweep", json.dumps({"m": [0]}), []),
     ("sweep", json.dumps({"m": [-1]}), []),
     ("sweep", json.dumps({"k_max": 0}), []),
+    ("sweep", json.dumps({"N": [2], "e": [3], "s": [3]}), []),
+    ("sweep", json.dumps({"N": [2], "e": [3], "s": [3], "m": [0]}), []),
     ("classify", _points_json(multiplicities=["two", 1]), []),
     ("classify", _points_json(multiplicities=[2.7, 1]), []),
     ("alpha", None, ["--k-min", "3", "--k-max", "1"]),
@@ -154,14 +149,14 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
         {"forms": ["100", "010"], "multiplicity": 1}]}), []),
     ("member", json.dumps({"ambient_dim": 2, "degree": 2,
                            "coeffs": {"-1,3,0": "1"}}), []),
-], ids=["malformed-json", "top-level-not-object", "primes-not-integers",
-        "sweep-k-max-not-integer", "sweep-grid-not-object",
-        "sweep-grid-value-not-list", "sweep-grid-entry-not-integer",
-        "sweep-grid-entry-boolean", "primes-equal", "sweep-k-max-boolean",
-        "sweep-k-max-float", "ambient-dim-string", "multiplicity-boolean",
+], ids=["malformed-json", "top-level-not-object", "sweep-k-max-not-integer",
+        "sweep-grid-not-object", "sweep-grid-value-not-list",
+        "sweep-grid-entry-not-integer", "sweep-grid-entry-boolean",
+        "sweep-k-max-boolean", "sweep-k-max-float", "ambient-dim-string", "multiplicity-boolean",
         "multiplicity-float", "star-core-string", "star-core-e-zero",
         "star-core-no-hyperplanes", "false-star-bounds", "false-star-alpha",
         "sweep-m-zero", "sweep-m-negative", "sweep-k-max-zero",
+        "sweep-no-valid-star", "sweep-no-valid-star-m-zero",
         "points-multiplicity-string", "points-multiplicity-float",
         "alpha-empty-k-range", "sweep-k-max-null", "points-two-coordinates",
         "points-four-coordinates", "points-coordinates-string",
@@ -395,6 +390,23 @@ def test_sweep_deterministic_modulo_millis(runner, tmp_path):
     first = outputs[0][0]
     assert first["N"] == "2" and first["s"] == "3" and first["k"] == "1"
     assert first["alpha"] == "2"
+
+
+def test_sweep_skips_invalid_stars(runner, tmp_path):
+    """e = 3 > N = 2 is skipped while the grid has a valid (N, e, s);
+    the rows carry the search's fixed primes."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"N": [2], "e": [2, 3], "s": [2, 3],
+                                "k_max": 1}))
+    outdir = tmp_path / "out"
+    result = _invoke(runner, ["sweep", str(grid), "-o", str(outdir)])
+    assert result.exit_code == 0
+    data = json.loads((outdir / "sweep.json").read_text())
+    assert [(r["e"], r["s"], r["alpha"]) for r in data["rows"]] == [
+        (2, 2, 1), (2, 3, 2)]
+    assert data["primes"] == list(DEFAULT_PRIMES)
+    assert all([r["prime1"], r["prime2"]] == data["primes"]
+               for r in data["rows"])
 
 
 def test_version(runner):

@@ -390,13 +390,6 @@ def test_bad_prime_replacement():
     assert record.witness.as_dict() == {(0, 1, 0): 1}
 
 
-def test_equal_primes_rejected(star25):
-    scheme = star25
-    p = DEFAULT_PRIMES[0]
-    with pytest.raises(ValidationError):
-        alpha_symbolic(scheme, 1, primes=(p, p))
-
-
 @pytest.mark.parametrize("q", DEFAULT_PRIMES)
 def test_second_prime_confirms_or_escalates(q, monkeypatch):
     # (0, q, 1) reduces to (0, 0, 1) mod q, so mod q a line passes through
