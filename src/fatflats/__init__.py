@@ -15,7 +15,7 @@ from .bounds import (  # noqa: F401
     noncontainment_witness,
     upper_bounds,
 )
-from .classify import Classification, classify, exact_value  # noqa: F401
+from .classify import Classification, classify  # noqa: F401
 from .divisors import (  # noqa: F401
     ComponentClass,
     DivisorClass,

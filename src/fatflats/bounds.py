@@ -96,6 +96,8 @@ def check_linear_alpha(scheme: FatFlatScheme, t: int, k_max: int):
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
+    if k_max < 1:
+        raise ValidationError("k_max must be >= 1")
     for k in range(1, k_max + 1):
         if require_alpha(alpha_symbolic(scheme, k)) != t * k:
             return False, k

@@ -45,16 +45,6 @@ class Classification:
         return self.case in (CASE_A, CASE_B, CASE_C)
 
 
-def exact_value(classification: Classification):
-    """Exact Waldschmidt constant, or (lower_bound, None) when the verdict
-    only certifies a bound."""
-    if classification.case in (CASE_A, CASE_B):
-        return Fraction(2)
-    if classification.case == CASE_C:
-        return Fraction(7, 3)
-    return (classification.lower.value, None)
-
-
 def _line_cert(sub_indices, line_points):
     """Proper transform of the line through the listed sub-config points,
     on the blow-up restricted to sub_indices."""

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .interpolation import alpha_symbolic, alpha_table, membership
-from .scalars import DEFAULT_PRIMES, encode_scalar
+from .scalars import DEFAULT_PRIMES, encode_scalar, require_int
 from .schemes import (
     FatPointsP2,
     build_fat_flat,
@@ -43,7 +43,6 @@ from .serialization import (
     points_from_dict,
     points_to_dict,
     report_to_dict,
-    require_int,
     scheme_to_dict,
 )
 from .verification import run_checks
@@ -111,7 +110,6 @@ def main():
 @click.option("--s", type=int, default=None)
 @click.option("--m", type=int, default=1)
 @click.option("--t", type=int, default=1)
-@click.option("--d", type=int, default=4)
 @click.option("--a", type=int, default=2)
 @click.option("--b", type=int, default=5)
 @click.option("--case", "case_id", default="a",
@@ -119,7 +117,7 @@ def main():
 @click.option("--r", type=int, default=None)
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--output", type=click.Path(), default=None)
-def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
+def build(kind, n, e, s, m, t, a, b, case_id, r, seed, output):
     """Construct a named configuration and write its JSON."""
     def go():
         if kind in ("star", "fatflat"):
@@ -129,7 +127,7 @@ def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
                 scheme = build_fat_flat(scheme.star, m)
             return scheme_to_dict(scheme)
         if kind == "theorem-a":
-            scheme = build_theorem_a(_given(n, 3), d, _given(s, 4), t, e,
+            scheme = build_theorem_a(_given(n, 3), _given(s, 4), t, e,
                                      seed=seed)
             return scheme_to_dict(scheme)
         if kind == "quasi-star":
@@ -143,7 +141,7 @@ def build(kind, n, e, s, m, t, d, a, b, case_id, r, seed, output):
             params["s"] = s
         if n is not None:
             params["n"] = n
-        config = build_theorem_b_family(case_id, params, seed=seed)
+        config = build_theorem_b_family(case_id, params)
         return points_to_dict(config)
 
     _emit(_run(go), output)
@@ -185,23 +183,23 @@ def alpha(scheme_file, k_min, k_max, mode, cap, output):
 @click.option("--k-max", type=int, default=2)
 @click.option("--mode", type=click.Choice(["rational", "modp"]), default="modp")
 @click.option("--cap", type=int, default=None, help=CAP_HELP)
-@click.option("--points-file", type=click.Path(exists=True), default=None,
-              help="planar configuration carrying the certificate")
-@click.option("--certificate-file", type=click.Path(exists=True), default=None)
+@click.option("--certificate-file", type=click.Path(exists=True), default=None,
+              help="nef certificate on the scheme file's planar points")
 @click.option("-o", "--output", type=click.Path(), default=None)
-def bounds(scheme_file, k_max, mode, cap, points_file, certificate_file,
-           output):
+def bounds(scheme_file, k_max, mode, cap, certificate_file, output):
     """Bound report: per-k alpha table, upper = min alpha/k, certified lower."""
     def go():
-        scheme = _load_scheme_arg(scheme_file)
+        obj = load_any_scheme(load_json(scheme_file))
+        planar = isinstance(obj, FatPointsP2)
+        if certificate_file is not None and not planar:
+            raise ValidationError(
+                "--certificate-file needs a planar points file")
+        scheme = obj.to_scheme() if planar else obj
         report = upper_bounds(scheme, k_max, mode=mode, degree_cap=cap,
                               label=scheme_file)
         if certificate_file is not None:
-            if points_file is None:
-                raise ValidationError("--certificate-file needs --points-file")
-            config = points_from_dict(load_json(points_file))
             cert = certificate_from_dict(load_json(certificate_file))
-            attach_lower(report, nef_lower(config, cert))
+            attach_lower(report, nef_lower(obj, cert))
         elif scheme.star_core is not None:
             attach_lower(report, star_core_lower(scheme))
         click.echo(f"verdict: {report.verdict}  upper={report.upper}  "
@@ -230,12 +228,12 @@ def member(form_file, scheme_file, k):
 
 @main.command(name="nef-check")
 @click.argument("certificate_file", type=click.Path(exists=True))
-@click.argument("points_file", type=click.Path(exists=True))
-def nef_check(certificate_file, points_file):
+@click.argument("config_file", type=click.Path(exists=True))
+def nef_check(certificate_file, config_file):
     """Verify a nef certificate and print its lower bound."""
     def go():
         cert = certificate_from_dict(load_json(certificate_file))
-        config = points_from_dict(load_json(points_file))
+        config = points_from_dict(load_json(config_file))
         verify_nef(cert, config)
         value = divisor_lower_bound(config, cert)
         click.echo(f"certified nef; lower bound {value}")
@@ -244,12 +242,12 @@ def nef_check(certificate_file, points_file):
 
 
 @main.command(name="classify")
-@click.argument("points_file", type=click.Path(exists=True))
+@click.argument("config_file", type=click.Path(exists=True))
 @click.option("-o", "--output", type=click.Path(), default=None)
-def classify_cmd(points_file, output):
+def classify_cmd(config_file, output):
     """Classify a non-reduced planar configuration (below-5/2 families)."""
     def go():
-        config = points_from_dict(load_json(points_file))
+        config = points_from_dict(load_json(config_file))
         result = classify(config)
         if result.below_five_halves:
             click.echo(f"case {result.case}: Waldschmidt constant exactly "

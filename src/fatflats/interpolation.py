@@ -367,13 +367,21 @@ class AlphaRecord:
     witness: Form = None
     field_mode: str = "modp"
     degree_cap: int = 0
-    degree_cap_hit: bool = False
     primes: tuple = None
-    escalated: bool = False
 
     @property
     def resolved(self) -> bool:
         return self.alpha is not None
+
+    @property
+    def degree_cap_hit(self) -> bool:
+        """No form of degree <= degree_cap: the search is unresolved."""
+        return self.alpha is None
+
+    @property
+    def escalated(self) -> bool:
+        """A modp search whose second prime sent the answer to Q."""
+        return self.primes is not None and self.field_mode == "rational"
 
 
 def default_degree_cap(scheme: FatFlatScheme, k: int) -> int:
@@ -527,7 +535,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
             k, d, record.primes = record.k, found[record.k][0], (p1, p2)
             if d is not None and _kernel_modp(tables, orders[k], d)[1] is None:
                 # alpha >= d is proved, and full rank mod p2 at d proves alpha > d.
-                record.field_mode, record.escalated = "rational", True
+                record.field_mode = "rational"
                 floors[k] = d + 1
         del tables
     redo = [r for r in records if r.field_mode == "rational"]
@@ -537,7 +545,6 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
             redo, orders, floors, probes, _kernel_rational))
     for record in records:
         d, kernel = found[record.k]
-        record.degree_cap_hit = d is None
         if d is not None:
             field = p1 if record.field_mode == "modp" else "rational"
             basis = monomial_basis(scheme.ambient_dim + 1, d)

@@ -29,6 +29,14 @@ def parse_scalar(value) -> Fraction:
     raise ValidationError(f"bad scalar {value!r}")
 
 
+def require_int(value, what):
+    """An integer: a bool, float or string is an error, not something to
+    cast."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def encode_scalar(q: Fraction):
     """Encode a rational as int when integral, else 'num/den'."""
     q = Fraction(q)

@@ -28,6 +28,7 @@ from .projective import (
     subspace_contains,
     transform_subspace,
 )
+from .scalars import require_int
 
 _MAX_RETRIES = 64
 
@@ -39,7 +40,7 @@ class FatComponent:
     label: str = ""
 
     def __post_init__(self):
-        if self.multiplicity < 1:
+        if require_int(self.multiplicity, "multiplicity") < 1:
             raise ValidationError("multiplicity must be >= 1")
 
 
@@ -144,7 +145,7 @@ class FatPointsP2:
 
     def __init__(self, points, multiplicities):
         pts = tuple(normalize_point(p) for p in points)
-        mults = tuple(int(m) for m in multiplicities)
+        mults = tuple(require_int(m, "multiplicity") for m in multiplicities)
         if len(pts) != len(mults) or not pts:
             raise ValidationError("need equally many points and multiplicities")
         if any(len(p) != 3 for p in pts):
@@ -219,15 +220,10 @@ def build_fat_flat(star: StarData, m: int, extras=()):
     return FatFlatScheme(N, star.components() + tuple(kept), star)
 
 
-def build_theorem_a(N, d, s, t, e, extras=(), hyperplanes=None, seed=0):
-    """A scheme with alpha(I^(k)) = d*k for every k, via d = s*t, m = e*t.
-
-    Extras obey the tighter cap mu <= t used in the construction's proof.
+def build_theorem_a(N, s, t, e, extras=(), hyperplanes=None, seed=0):
+    """A scheme with alpha(I^(k)) = s*t*k for every k: extras plus
+    m*S_N(e, s) with m = e*t, so build_fat_flat's cap floor(m/e) is t.
     """
-    if d != s * t:
-        raise ValidationError("need d = s * t")
-    if any(mu > t for _, mu in extras):
-        raise ValidationError("extra multiplicities must be <= t")
     star = star_configuration(N, e, s, hyperplanes=hyperplanes, seed=seed).star
     return build_fat_flat(star, e * t, extras)
 
@@ -309,7 +305,7 @@ def _pt(x, y, z=1):
     return normalize_point((Fraction(x), Fraction(y), Fraction(z)))
 
 
-def build_theorem_b_family(case_id, params=None, seed=0):
+def build_theorem_b_family(case_id, params=None):
     """Exact-coordinate instances of the planar families.
 
     Cases: 'a' (r doubles + s simples on a line), 'b' (two lines crossing

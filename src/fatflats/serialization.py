@@ -12,18 +12,8 @@ from .divisors import ComponentClass, DivisorClass, NefCertificate
 from .errors import ValidationError
 from .interpolation import AlphaRecord, Form
 from .projective import LinForm, Subspace
-from .scalars import encode_scalar, parse_scalar
+from .scalars import encode_scalar, parse_scalar, require_int
 from .schemes import FatComponent, FatFlatScheme, FatPointsP2, StarData
-
-_KINDS = {"E": "E", "line": "line", "conic": "conic"}
-
-
-def require_int(value, what):
-    """An integer field of an input file: a bool, float or string is an
-    error, not something to cast."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 def require_list(value, what):
@@ -66,8 +56,8 @@ def scheme_from_dict(data: dict) -> FatFlatScheme:
         comps = []
         for entry in data["components"]:
             forms = [_form_from_list(row) for row in entry["forms"]]
-            mult = require_int(entry["multiplicity"], "multiplicity")
-            comps.append(FatComponent(Subspace(n, forms), mult,
+            comps.append(FatComponent(Subspace(n, forms),
+                                      entry["multiplicity"],
                                       entry.get("label", "")))
         core = data.get("star_core")
         star = None if core is None else StarData(
@@ -90,8 +80,7 @@ def points_from_dict(data: dict) -> FatPointsP2:
     try:
         pts = [[parse_scalar(x) for x in require_list(p, "point")]
                for p in data["points"]]
-        return FatPointsP2(pts, [require_int(m, "multiplicity")
-                                 for m in data["multiplicities"]])
+        return FatPointsP2(pts, data["multiplicities"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed points JSON: {exc}") from exc
 
@@ -148,7 +137,7 @@ def certificate_from_dict(data: dict) -> NefCertificate:
         divisor = DivisorClass(require_int(data["t"], "t"),
                                [require_int(x, "drop") for x in data["drops"]])
         decomposition = tuple(
-            (ComponentClass(_KINDS[entry["kind"]],
+            (ComponentClass(entry["kind"],
                             [require_int(i, "component point")
                              for i in entry["points"]]),
              require_int(entry["coeff"], "coeff"))

@@ -46,13 +46,13 @@ def test_lower_above_upper_is_an_error():
 
 def test_unresolved_entries_do_not_contribute():
     table = [AlphaRecord(k=1, alpha=4),
-             AlphaRecord(k=2, degree_cap=3, degree_cap_hit=True)]
+             AlphaRecord(k=2, degree_cap=3)]
     report = BoundReport(label="x", table=table).finalize()
     assert report.upper == 4 and report.upper_k == 1
 
 
 def test_all_unresolved_is_open():
-    table = [AlphaRecord(k=1, degree_cap=1, degree_cap_hit=True)]
+    table = [AlphaRecord(k=1, degree_cap=1)]
     report = BoundReport(label="x", table=table).finalize()
     assert report.verdict == "open" and report.upper is None
 
@@ -78,6 +78,16 @@ def test_check_linear_alpha():
     assert not ok and failing == 1
 
 
+def test_check_linear_alpha_needs_a_k(star25):
+    """With no k to test there is no evidence, so no "linear" verdict;
+    upper_bounds refuses the same k_max."""
+    for k_max in (0, -1):
+        with pytest.raises(ValidationError, match="k_max must be >= 1"):
+            check_linear_alpha(star25, 7, k_max)
+        with pytest.raises(ValidationError, match="k_max must be >= 1"):
+            upper_bounds(star25, k_max)
+
+
 def test_beta_sequence(star25):
     scheme = star25
     report = upper_bounds(scheme, 4)
@@ -86,7 +96,7 @@ def test_beta_sequence(star25):
         beta_sequence([AlphaRecord(k=1, alpha=4), AlphaRecord(k=3, alpha=9)])
     with pytest.raises(CapExceededError):
         beta_sequence([AlphaRecord(k=1, alpha=4),
-                       AlphaRecord(k=2, degree_cap_hit=True)])
+                       AlphaRecord(k=2)])
 
 
 def test_is_subscheme():

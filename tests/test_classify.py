@@ -13,7 +13,6 @@ from fatflats.classify import (
     NOT_BELOW,
     TWO_DOUBLES,
     classify,
-    exact_value,
 )
 from fatflats.divisors import verify_nef
 from fatflats.errors import ValidationError
@@ -44,7 +43,7 @@ def test_case_a_collinear():
     for params in ({"r": 1, "s": 0}, {"r": 3, "s": 2}):
         result = classify(build_theorem_b_family("a", params))
         assert result.case == CASE_A
-        assert exact_value(result) == 2
+        assert result.alpha_hat == 2
     # A single double point is also case a.
     assert classify(FatPointsP2([(1, 2, 1)], [2])).case == CASE_A
 
@@ -62,13 +61,13 @@ def test_case_b_two_lines():
     for params in ({"r": 1, "s": 1}, {"r": 2, "s": 3}):
         result = classify(build_theorem_b_family("b", params))
         assert result.case == CASE_B
-        assert exact_value(result) == 2
+        assert result.alpha_hat == 2
 
 
 def test_case_c():
     result = classify(build_theorem_b_family("c"))
     assert result.case == CASE_C
-    assert exact_value(result) == Fraction(7, 3)
+    assert result.alpha_hat == Fraction(7, 3)
 
 
 def test_figure3_bound_grows_with_n():
@@ -155,6 +154,6 @@ def test_one_double_point_verdicts_carry_proofs():
             assert result.lower is not None, points
             assert result.lower.value >= Fraction(5, 2), points
         else:
-            assert exact_value(result) in (2, Fraction(7, 3)), points
+            assert result.alpha_hat in (2, Fraction(7, 3)), points
         conics += result.reason == GENERAL_POSITION_CONIC
     assert conics >= 200

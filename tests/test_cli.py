@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,8 @@ from fatflats.interpolation import form_product
 from fatflats.scalars import DEFAULT_PRIMES
 from fatflats.serialization import dump_json, form_to_dict
 from fatflats.projective import LinForm
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -249,21 +252,25 @@ def test_bounds_star_core_exact(runner, tmp_path):
     assert report["upper"]["value"] == "5/2"
 
 
+# 3L - 2E_1 - E_2 - E_3 - E_4 on case c (the double point first): 7/3.
+_CASE_C_CERT = {"t": 3, "drops": [2, 1, 1, 1], "decomposition": [
+    {"kind": "line", "points": [0, 1], "coeff": 1},
+    {"kind": "line", "points": [0, 2], "coeff": 1},
+    {"kind": "line", "points": [0, 3], "coeff": 1},
+    {"kind": "E", "points": [0], "coeff": 1}]}
+# L - E_1 on one point of multiplicity 4: nef, bound 4.
+_LINE_CERT = {"t": 1, "drops": [1], "decomposition": [
+    {"kind": "line", "points": [0], "coeff": 1}]}
+
+
 def test_bounds_with_certificate(runner, tmp_path):
     points = tmp_path / "points.json"
     _invoke(runner, ["build", "thmb-family", "--case", "c",
                      "-o", str(points)])
     cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({
-        "t": 3, "drops": [2, 1, 1, 1],
-        "decomposition": [
-            {"kind": "line", "points": [0, 1], "coeff": 1},
-            {"kind": "line", "points": [0, 2], "coeff": 1},
-            {"kind": "line", "points": [0, 3], "coeff": 1},
-            {"kind": "E", "points": [0], "coeff": 1}]}))
+    cert.write_text(json.dumps(_CASE_C_CERT))
     out = tmp_path / "report.json"
     result = _invoke(runner, ["bounds", str(points), "--k-max", "3",
-                              "--points-file", str(points),
                               "--certificate-file", str(cert),
                               "-o", str(out)])
     assert result.exit_code == 0
@@ -271,6 +278,45 @@ def test_bounds_with_certificate(runner, tmp_path):
     assert report["verdict"] == "exact"
     assert report["upper"]["value"] == "7/3"
     assert report["lower"]["certificate"] == "nef"
+
+
+@pytest.mark.parametrize("scheme,cert", [
+    (str(DATA / "star_2_2_5.json"), _CASE_C_CERT),
+    (str(DATA / "star_2_2_5.json"), _LINE_CERT),
+    ("theorem-a", _LINE_CERT),
+], ids=["case-c-cert-on-star", "line-cert-on-star", "line-cert-on-theorem-a"])
+def test_bounds_certificate_must_be_on_the_scheme_file(runner, tmp_path,
+                                                       scheme, cert):
+    """A certificate is checked against the scheme file's own points, so
+    it cannot bound an unrelated configuration: before, the line
+    certificate on a quadruple point read "exact 4" for S_2(2, 5), whose
+    Waldschmidt constant is 5/2.  A scheme file that is not planar points
+    carries no nef certificate."""
+    if scheme == "theorem-a":
+        scheme = str(tmp_path / "theorem_a.json")
+        _invoke(runner, ["build", "theorem-a", "-o", scheme])
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    result = runner.invoke(main, ["bounds", scheme, "--k-max", "1",
+                                  "--certificate-file", str(cert_path)])
+    assert result.exit_code == 2
+    assert "needs a planar points file" in result.output
+    assert "verdict" not in result.output
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_build_theorem_a_constant_is_s_times_t(runner, tmp_path, t):
+    """Theorem A fixes the scheme by s and t; its constant is s*t."""
+    path = tmp_path / "w.json"
+    _invoke(runner, ["build", "theorem-a", "--n", "3", "--e", "2",
+                     "--s", "4", "--t", str(t), "-o", str(path)])
+    out = tmp_path / "report.json"
+    result = _invoke(runner, ["bounds", str(path), "--k-max", "1",
+                              "-o", str(out)])
+    assert result.exit_code == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "exact"
+    assert report["upper"]["value"] == report["lower"]["value"] == 4 * t
 
 
 def test_member(runner, tmp_path):

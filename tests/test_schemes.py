@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -10,6 +12,7 @@ from fatflats.projective import (
     collinear,
     hyperplane_subspace,
     point_subspace,
+    random_point_on,
     subspace_contains,
 )
 from fatflats.schemes import (
@@ -117,8 +120,6 @@ def test_build_fat_flat_extra_validation():
     star = star_configuration(3, 2, 4, seed=1).star
     h0 = hyperplane_subspace(star.hyperplanes[0])
     # A point inside H_0 but off the star lines.
-    import random
-    from fatflats.projective import random_point_on
     rng = random.Random(3)
     avoid = [hyperplane_subspace(h) for h in star.hyperplanes[1:]]
     pt = point_subspace(random_point_on(h0, rng, avoid=avoid))
@@ -142,11 +143,20 @@ def test_build_fat_flat_extra_validation():
 
 
 def test_build_theorem_a_parameter_checks():
-    with pytest.raises(ValidationError):
-        build_theorem_a(3, 5, 4, 1, 2)  # d != s*t
-    scheme = build_theorem_a(3, 4, 4, 1, 2, seed=1)
-    assert scheme.star_core == (2, 4, 2)  # m*s/e = 4 = d
+    scheme = build_theorem_a(3, 4, 1, 2, seed=1)
+    assert scheme.star_core == (2, 4, 2)  # m*s/e = 4 = s*t
     assert all(c.multiplicity == 2 for c in scheme.components)
+    # m = e*t, so build_fat_flat's cap floor(m/e) on extras is t.
+    hyps = scheme.star.hyperplanes
+    pt = point_subspace(random_point_on(
+        hyperplane_subspace(hyps[0]), random.Random(3),
+        avoid=[hyperplane_subspace(h) for h in hyps[1:]]))
+    for t in (1, 2):
+        assert len(build_theorem_a(3, 4, t, 2, extras=((pt, t),),
+                                   hyperplanes=hyps).components) == 7
+        with pytest.raises(ValidationError):
+            build_theorem_a(3, 4, t, 2, extras=((pt, t + 1),),
+                            hyperplanes=hyps)
 
 
 def test_build_quasi_star_shape():
@@ -172,6 +182,17 @@ def test_build_rational_target_prefers_scaled_star():
         build_rational_target(3, 2)
     with pytest.raises(ValidationError):
         build_rational_target(3, 7, N=2)
+
+
+@pytest.mark.parametrize("mu", [2.7, 2.0, 1.5, True, "2", Fraction(2)],
+                         ids=["float", "integral-float", "half", "bool",
+                              "string", "fraction"])
+def test_multiplicities_must_be_integers(mu):
+    """A multiplicity is never cast: 2.7 is not read as 2."""
+    with pytest.raises(ValidationError, match="must be an integer"):
+        FatPointsP2([(0, 0, 1), (1, 0, 1)], [mu, 1])
+    with pytest.raises(ValidationError, match="must be an integer"):
+        FatComponent(point_subspace((0, 0, 1)), mu)
 
 
 def test_fat_points_validation():

@@ -59,7 +59,7 @@ def test_theorem_a_roundtrip_with_extra():
     avoid = [hyperplane_subspace(h) for h in hyperplanes[1:]]
     pt = random_point_on(hyperplane_subspace(hyperplanes[0]),
                          random.Random(3), avoid=avoid)
-    w = build_theorem_a(3, 4, 4, 1, 2, extras=((point_subspace(pt), 1),),
+    w = build_theorem_a(3, 4, 1, 2, extras=((point_subspace(pt), 1),),
                         hyperplanes=hyperplanes)
     assert len(w.components) == 7 and w.star_core == (2, 4, 2)
     assert scheme_from_dict(json.loads(dump_json(scheme_to_dict(w)))) == w
