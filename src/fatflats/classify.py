@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bounds import LowerBound, monotone_lower, nef_lower
 from .divisors import ComponentClass, DivisorClass, NefCertificate
 from .errors import ValidationError
-from .projective import collinear, line_through
+from .projective import collinear, line_through, no_three_collinear
 from .schemes import FatPointsP2
 
 CASE_A = "a"
@@ -45,80 +45,22 @@ class Classification:
         return self.case in (CASE_A, CASE_B, CASE_C)
 
 
-def _line_cert(sub_indices, line_points):
-    """Proper transform of the line through the listed sub-config points,
-    on the blow-up restricted to sub_indices."""
-    local = {g: i for i, g in enumerate(sub_indices)}
-    return ComponentClass("line", [local[g] for g in line_points])
-
-
-def _sub_config(config: FatPointsP2, indices, multiplicities=None):
-    pts = [config.points[i] for i in indices]
-    if multiplicities is None:
-        multiplicities = [config.multiplicities[i] for i in indices]
-    return FatPointsP2(pts, multiplicities)
-
-
-def _transfer(config, sub, cert):
-    bound = nef_lower(sub, cert)
-    return monotone_lower(config, sub, bound)
-
-
-def _two_doubles_certificate(config: FatPointsP2, doubles):
-    """G = 2L - E1 - E2 - E3 on a triple {two doubles + off-line point}."""
-    n = len(config)
-    for i, j in itertools.combinations(doubles, 2):
-        line = line_through(config.points[i], config.points[j])
-        for k in range(n):
-            if k in (i, j) or line.evaluate(config.points[k]) == 0:
-                continue
-            indices = (i, j, k)
-            sub = _sub_config(config, indices, multiplicities=(2, 2, 1))
-            cert = NefCertificate(
-                divisor=DivisorClass(2, (1, 1, 1)),
-                decomposition=(
-                    (_line_cert(indices, (i, j)), 1),
-                    (_line_cert(indices, (i, k)), 1),
-                    (ComponentClass("E", (0,)), 1),
-                ))
-            lower = _transfer(config, sub, cert)
-            return indices, cert, lower
-    return None
-
-
-def _figure3_certificate(config: FatPointsP2, double_idx, simple_indices):
-    """H = (n-1)L - (n-2)E_1 - E_2 - ... - E_n on the whole configuration."""
-    indices = (double_idx,) + tuple(simple_indices)
-    n = len(indices)
-    sub = _sub_config(config, indices)
-    decomposition = tuple(
-        (_line_cert(indices, (double_idx, s)), 1)
-        for s in simple_indices) + ((ComponentClass("E", (0,)), 1),)
-    cert = NefCertificate(
-        divisor=DivisorClass(n - 1, (n - 2,) + (1,) * (n - 1)),
-        decomposition=decomposition)
-    lower = _transfer(config, sub, cert)
-    return indices, cert, lower
-
-
-def _conic_certificate(config: FatPointsP2, double_idx):
-    """C~ = 2L - E1 - E2 - E3 - E4 on a general-position 4-subset that
-    contains the double point."""
-    others = [i for i in range(len(config)) if i != double_idx]
-    for trio in itertools.combinations(others, 3):
-        indices = (double_idx,) + trio
-        pts = [config.points[i] for i in indices]
-        if any(collinear([pts[a], pts[b], pts[c]])
-               for a, b, c in itertools.combinations(range(4), 3)):
-            continue
-        sub = _sub_config(config, indices,
-                          multiplicities=(2, 1, 1, 1))
-        conic = ComponentClass("conic", (0, 1, 2, 3))
-        cert = NefCertificate(divisor=DivisorClass(2, (1, 1, 1, 1)),
-                              decomposition=((conic, 1),))
-        lower = _transfer(config, sub, cert)
-        return indices, cert, lower
-    return None
+def _not_below(config, reason, indices, mults, divisor, decomposition,
+               **detail):
+    """A NotBelow verdict and its proof: the nef certificate `divisor` =
+    the sum of `decomposition`, whose curves are (kind, configuration
+    indices) pairs with coefficient 1, on the sub-configuration of the
+    points at `indices` with multiplicities `mults`, transferred to the
+    whole configuration by monotonicity."""
+    local = {g: i for i, g in enumerate(indices)}
+    sub = FatPointsP2([config.points[i] for i in indices], mults)
+    cert = NefCertificate(divisor=divisor, decomposition=tuple(
+        (ComponentClass(kind, [local[g] for g in points]), 1)
+        for kind, points in decomposition))
+    lower = monotone_lower(config, sub, nef_lower(sub, cert))
+    return Classification(NOT_BELOW, reason=reason, lower=lower,
+                          certificate=cert, subscheme_indices=indices,
+                          detail=detail)
 
 
 def classify(config: FatPointsP2) -> Classification:
@@ -146,16 +88,9 @@ def classify(config: FatPointsP2) -> Classification:
     # (1) any multiplicity >= 3 pins the bound at that multiplicity.
     for i, m in enumerate(mults):
         if m >= 3:
-            indices = (i,)
-            sub = _sub_config(config, indices)
-            cert = NefCertificate(
-                divisor=DivisorClass(1, (1,)),
-                decomposition=((ComponentClass("line", (0,)), 1),))
-            lower = _transfer(config, sub, cert)
-            return Classification(
-                NOT_BELOW, reason=MULTIPLICITY_AT_LEAST_3, lower=lower,
-                certificate=cert, subscheme_indices=indices,
-                detail={"point": i, "multiplicity": m})
+            return _not_below(config, MULTIPLICITY_AT_LEAST_3, (i,), (m,),
+                              DivisorClass(1, (1,)), [("line", (i,))],
+                              point=i, multiplicity=m)
 
     doubles = [i for i, m in enumerate(mults) if m == 2]
 
@@ -165,14 +100,17 @@ def classify(config: FatPointsP2) -> Classification:
                               detail={"doubles": len(doubles),
                                       "simples": len(config) - len(doubles)})
 
-    # (3) two or more doubles off a common line: G certificate.
+    # (3) two or more doubles: G = 2L - E_i - E_j - E_k on the first two
+    # doubles and the first point off their line, which exists because the
+    # points are not all collinear.
     if len(doubles) >= 2:
-        found = _two_doubles_certificate(config, doubles)
-        if found is None:  # unreachable: not all points collinear
-            raise AssertionError("two-doubles certificate search failed")
-        indices, cert, lower = found
-        return Classification(NOT_BELOW, reason=TWO_DOUBLES, lower=lower,
-                              certificate=cert, subscheme_indices=indices)
+        i, j = doubles[:2]
+        line = line_through(config.points[i], config.points[j])
+        k = next(k for k, p in enumerate(config.points)
+                 if line.evaluate(p) != 0)
+        return _not_below(config, TWO_DOUBLES, (i, j, k), (2, 2, 1),
+                          DivisorClass(2, (1, 1, 1)),
+                          [("line", (i, j)), ("line", (i, k)), ("E", (i,))])
 
     (p0,) = doubles
     simples = [i for i in range(len(config)) if i != p0]
@@ -196,20 +134,21 @@ def classify(config: FatPointsP2) -> Classification:
     if simples_collinear and len(config) == 4:
         return Classification(CASE_C, alpha_hat=Fraction(7, 3))
 
-    # (6) n >= 5 collinear simples, double off their line: H certificate.
+    # (6) n >= 5 collinear simples, double off their line:
+    # H = (n-1)L - (n-2)E_0 - E_1 - ... - E_(n-1) on the whole configuration.
     if simples_collinear and len(config) >= 5:
-        indices, cert, lower = _figure3_certificate(config, p0, simples)
         n = len(config)
-        return Classification(NOT_BELOW, reason=FIGURE_3, lower=lower,
-                              certificate=cert, subscheme_indices=indices,
-                              detail={"n": n, "value": str(Fraction(3 * n - 5,
-                                                                    n - 1))})
+        return _not_below(config, FIGURE_3, (p0, *simples),
+                          (2,) + (1,) * (n - 1),
+                          DivisorClass(n - 1, (n - 2,) + (1,) * (n - 1)),
+                          [*(("line", (p0, s)) for s in simples),
+                           ("E", (p0,))],
+                          n=n, value=str(Fraction(3 * n - 5, n - 1)))
 
-    # (7) otherwise a general-position 4-subset through the double exists.
-    found = _conic_certificate(config, p0)
-    if found is None:  # unreachable: see the docstring
-        raise AssertionError("general-position conic search failed")
-    indices, cert, lower = found
-    return Classification(NOT_BELOW, reason=GENERAL_POSITION_CONIC,
-                          lower=lower, certificate=cert,
-                          subscheme_indices=indices)
+    # (7) otherwise C~ = 2L - E_1 - ... - E_4 on a 4-subset in general
+    # position through the double, which exists (see above).
+    indices = next((p0, *trio) for trio in itertools.combinations(simples, 3)
+                   if no_three_collinear(
+                       [config.points[i] for i in (p0, *trio)]))
+    return _not_below(config, GENERAL_POSITION_CONIC, indices, (2, 1, 1, 1),
+                      DivisorClass(2, (1, 1, 1, 1)), [("conic", indices)])

@@ -10,11 +10,12 @@ import time
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .bounds import attach_lower, nef_lower, star_core_lower, upper_bounds
 from .classify import classify
-from .divisors import lower_bound as divisor_lower_bound, verify_nef
+from .divisors import lower_bound as divisor_lower_bound
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -53,6 +54,17 @@ EXIT_CERTIFICATE = 4
 
 CAP_HELP = ("degree cap (default: the first degree at which a form must "
             "exist, so the search always resolves)")
+
+
+# The options each kind of `build` reads, besides KIND and -o.
+_BUILD_READS = {
+    "star": ("n", "e", "s", "seed"),
+    "fatflat": ("n", "e", "s", "m", "seed"),
+    "theorem-a": ("n", "s", "t", "e", "seed"),
+    "quasi-star": ("s", "seed"),
+    "rational-target": ("a", "b", "n", "seed"),
+    "thmb-family": ("case_id", "r", "s", "n"),
+}
 
 
 def _grid_ints(grid, key, default):
@@ -118,8 +130,18 @@ def main():
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--output", type=click.Path(), default=None)
 def build(kind, n, e, s, m, t, a, b, case_id, r, seed, output):
-    """Construct a named configuration and write its JSON."""
+    """Construct a named configuration and write its JSON; an option the
+    kind does not read exits 2."""
+    ctx = click.get_current_context()
+
     def go():
+        unread = [p.opts[0] for p in ctx.command.params
+                  if p.name not in _BUILD_READS[kind] + ("kind", "output")
+                  and ctx.get_parameter_source(p.name)
+                  is ParameterSource.COMMANDLINE]
+        if unread:
+            raise ValidationError(f"build {kind} does not read "
+                                  f"{', '.join(unread)}")
         if kind in ("star", "fatflat"):
             scheme = star_configuration(_given(n, 2), e, _given(s, 3),
                                         seed=seed)
@@ -195,13 +217,16 @@ def bounds(scheme_file, k_max, mode, cap, certificate_file, output):
             raise ValidationError(
                 "--certificate-file needs a planar points file")
         scheme = obj.to_scheme() if planar else obj
+        lower = None
+        if certificate_file is not None:
+            lower = nef_lower(obj, certificate_from_dict(
+                load_json(certificate_file)))
+        elif scheme.star_core is not None:
+            lower = star_core_lower(scheme)
         report = upper_bounds(scheme, k_max, mode=mode, degree_cap=cap,
                               label=scheme_file)
-        if certificate_file is not None:
-            cert = certificate_from_dict(load_json(certificate_file))
-            attach_lower(report, nef_lower(obj, cert))
-        elif scheme.star_core is not None:
-            attach_lower(report, star_core_lower(scheme))
+        if lower is not None:
+            attach_lower(report, lower)
         click.echo(f"verdict: {report.verdict}  upper={report.upper}  "
                    f"lower={report.lower.value if report.lower else None}",
                    err=True)
@@ -234,7 +259,6 @@ def nef_check(certificate_file, config_file):
     def go():
         cert = certificate_from_dict(load_json(certificate_file))
         config = points_from_dict(load_json(config_file))
-        verify_nef(cert, config)
         value = divisor_lower_bound(config, cert)
         click.echo(f"certified nef; lower bound {value}")
 

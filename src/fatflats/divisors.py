@@ -4,14 +4,22 @@ nef lower bounds for the Waldschmidt constant.
 Nef-ness is only ever certified, never decided: a certificate is a
 decomposition of the divisor into catalog components (exceptional
 curves, proper transforms of lines and conics), each validated against
-the actual point configuration and each met non-negatively.
+the actual point configuration and each met non-negatively.  A line or
+conic names the configuration points it passes through.  Where those
+points fix the curve (two or more for a line; five or more, no three
+collinear, for a conic) it must name every configuration point on it,
+since its transform's class drops exactly the named ones.  A line through
+one point, or a conic through at most four with no three collinear, has
+members that avoid every other point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, ValidationError
-from .projective import collinear, line_through
+from .interpolation import monomial_basis, monomial_eval
+from .linalg import rank_kernel_rational
+from .projective import collinear, line_through, no_three_collinear
 from .schemes import FatPointsP2
 
 
@@ -79,6 +87,33 @@ class NefCertificate:
     decomposition: tuple  # ((ComponentClass, coeff), ...)
 
 
+def _curve_through(kind, pts):
+    """The equation of the one line or conic through the points, or None
+    when they do not fix it; raises when no irreducible curve of that kind
+    passes through them.  Five points with no three collinear impose
+    independent conditions on conics and lie on no pair of lines, so a
+    conic through them is unique and irreducible."""
+    if kind == "line":
+        if not pts:
+            raise ValidationError("line transform needs at least one point")
+        if len(pts) == 1:
+            return None
+        if not collinear(pts):
+            raise ValidationError("line-transform points are not collinear")
+        return line_through(pts[0], pts[1]).evaluate
+    if not no_three_collinear(pts):
+        raise ValidationError(
+            "cannot certify a conic through 3 collinear points")
+    if len(pts) < 5:
+        return None
+    mons = monomial_basis(3, 2)
+    _, conic = rank_kernel_rational(
+        [[monomial_eval(p, m) for m in mons] for p in pts])
+    if conic is None:
+        raise ValidationError("no conic passes through the conic's points")
+    return lambda p: sum(c * monomial_eval(p, m) for c, m in zip(conic, mons))
+
+
 def validate_component(comp: ComponentClass, config: FatPointsP2):
     """Check the catalog class is an irreducible curve on this blow-up."""
     n = len(config)
@@ -88,31 +123,11 @@ def validate_component(comp: ComponentClass, config: FatPointsP2):
         if len(comp.points) != 1:
             raise ValidationError("exceptional class names exactly one point")
         return
-    pts = [config.points[i] for i in comp.points]
-    if comp.kind == "line":
-        if not comp.points:
-            raise ValidationError("line transform needs at least one point")
-        if len(pts) >= 2:
-            if not collinear(pts):
-                raise ValidationError("line-transform points are not collinear")
-            line = line_through(pts[0], pts[1])
-            on_line = {i for i, p in enumerate(config.points)
-                       if line.evaluate(p) == 0}
-            if on_line != set(comp.points):
-                raise ValidationError(
-                    "line transform must list every configuration point on its line")
-        # |S| = 1: a line through one point avoiding the others always exists.
-        return
-    # conic
-    if len(comp.points) > 5:
-        raise ValidationError("conic transform through more than 5 points")
-    if len(pts) >= 3:
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                for k in range(j + 1, len(pts)):
-                    if collinear([pts[i], pts[j], pts[k]]):
-                        raise ValidationError(
-                            "cannot certify a conic through 3 collinear points")
+    curve = _curve_through(comp.kind, [config.points[i] for i in comp.points])
+    if curve is not None and comp.points != tuple(
+            i for i, p in enumerate(config.points) if curve(p) == 0):
+        raise ValidationError(f"{comp.kind} transform must list every "
+                              "configuration point on it")
 
 
 def verify_nef(cert: NefCertificate, config: FatPointsP2):

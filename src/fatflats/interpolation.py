@@ -53,6 +53,14 @@ def monomial_basis(nvars: int, degree: int):
     return tuple(gen(nvars, degree))
 
 
+def monomial_eval(point, exponents):
+    """The monomial with the given exponents at an exact point."""
+    out = Fraction(1)
+    for x, m in zip(point, exponents):
+        out *= x ** m
+    return out
+
+
 @lru_cache(maxsize=None)
 def monomial_index(nvars: int, degree: int):
     return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}

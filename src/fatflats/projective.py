@@ -208,6 +208,11 @@ def collinear(points) -> bool:
     return all(line.evaluate(p) == 0 for p in pts[2:])
 
 
+def no_three_collinear(points) -> bool:
+    """No three of the distinct points of P^2 lie on a line."""
+    return not any(collinear(t) for t in itertools.combinations(points, 3))
+
+
 # -- seeded generation --------------------------------------------------------
 
 def _random_form(rng, n):

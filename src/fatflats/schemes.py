@@ -305,26 +305,41 @@ def _pt(x, y, z=1):
     return normalize_point((Fraction(x), Fraction(y), Fraction(z)))
 
 
+# The parameters each planar family reads.
+_FAMILY_PARAMS = {"a": ("r", "s"), "b": ("r", "s"), "c": (), "wprime": (),
+                  "zprime": (), "z": ("n",), "wsecond": (),
+                  "vprime": ("multiplicities",)}
+
+
 def build_theorem_b_family(case_id, params=None):
     """Exact-coordinate instances of the planar families.
 
     Cases: 'a' (r doubles + s simples on a line), 'b' (two lines crossing
     at the unique double), 'c' (one double off a line of three simples),
     'wprime', 'zprime', 'z' (n points, Figure-3 shape), 'wsecond',
-    'vprime' (multiplicities on a line).
+    'vprime' (multiplicities on a line).  A parameter the case does not
+    read, or one that is not an integer, is an error.
     """
+    if case_id not in _FAMILY_PARAMS:
+        raise ValidationError(f"unknown family {case_id!r}")
     params = dict(params or {})
+    unread = sorted(set(params) - set(_FAMILY_PARAMS[case_id]))
+    if unread:
+        raise ValidationError(f"family {case_id!r} does not read "
+                              f"{', '.join(map(str, unread))}")
+
+    def get(name, default):
+        return require_int(params.get(name, default), f"family {name!r}")
+
     if case_id == "a":
-        r = int(params.get("r", 1))
-        s = int(params.get("s", 0))
+        r, s = get("r", 1), get("s", 0)
         if r < 1 or s < 0:
             raise ValidationError("case a needs r >= 1, s >= 0")
         pts = [_pt(i + 1, 0) for i in range(r + s)]
         mults = [2] * r + [1] * s
         return FatPointsP2(pts, mults)
     if case_id == "b":
-        r = int(params.get("r", 1))
-        s = int(params.get("s", 1))
+        r, s = get("r", 1), get("s", 1)
         if r < 1 or s < 1:
             raise ValidationError("case b needs r, s >= 1")
         pts = [_pt(i + 1, 0) for i in range(r)] + \
@@ -341,7 +356,7 @@ def build_theorem_b_family(case_id, params=None):
         pts = [_pt(0, 1), _pt(1, 0), _pt(2, 0)]
         return FatPointsP2(pts, [2, 2, 1])
     if case_id == "z":
-        n = int(params.get("n", 5))
+        n = get("n", 5)
         if n < 4:
             raise ValidationError("the Figure-3 family needs n >= 4")
         pts = [_pt(0, 1)] + [_pt(i + 1, 0) for i in range(n - 1)]
@@ -349,15 +364,15 @@ def build_theorem_b_family(case_id, params=None):
     if case_id == "wsecond":
         pts = [_pt(0, 1), _pt(0, 2), _pt(1, 0), _pt(2, 0), _pt(0, 0)]
         return FatPointsP2(pts, [2, 1, 1, 1, 1])
-    if case_id == "vprime":
-        mults = [int(m) for m in params.get("multiplicities", (2, 1))]
-        if not mults or any(m not in (1, 2) for m in mults):
-            raise ValidationError("V' multiplicities must be 1 or 2")
-        if 2 not in mults:
-            raise ValidationError("V' must be non-reduced")
-        pts = [_pt(i + 1, 0) for i in range(len(mults))]
-        return FatPointsP2(pts, mults)
-    raise ValidationError(f"unknown family {case_id!r}")
+    # vprime
+    mults = [require_int(m, "V' multiplicity")
+             for m in params.get("multiplicities", (2, 1))]
+    if not mults or any(m not in (1, 2) for m in mults):
+        raise ValidationError("V' multiplicities must be 1 or 2")
+    if 2 not in mults:
+        raise ValidationError("V' must be non-reduced")
+    pts = [_pt(i + 1, 0) for i in range(len(mults))]
+    return FatPointsP2(pts, mults)
 
 
 def support_line(fp: FatPointsP2) -> LinForm:

@@ -38,6 +38,7 @@ from .interpolation import (
     form_product,
     membership,
     monomial_basis,
+    monomial_eval,
     multiply_forms,
     require_alpha,
 )
@@ -150,16 +151,9 @@ def _line_restriction_oracle(hyperplanes, degree):
         a, b = Subspace(n, (h1, h2)).basis
         for t in range(degree + 1):
             pt = [ai + t * bi for ai, bi in zip(a, b)]
-            rows.append([_monomial_eval(pt, m) for m in mons])
+            rows.append([monomial_eval(pt, m) for m in mons])
     _, kernel = rank_kernel_rational(rows, ncols=len(mons))
     return kernel is not None
-
-
-def _monomial_eval(point, exponents):
-    out = Fraction(1)
-    for x, m in zip(point, exponents):
-        out *= x ** m
-    return out
 
 
 def check_star_p2_values():

@@ -63,6 +63,19 @@ def test_build_invalid_parameters_exit_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args,option", [
+    (["star", "--t", "7"], "--t"),
+    (["star", "--n", "2", "--s", "5", "--case", "z"], "--case"),
+    (["thmb-family", "--case", "c", "--seed", "5"], "--seed"),
+    (["thmb-family", "--case", "c", "--r", "3"], "r"),
+], ids=["star-t", "star-case", "thmb-seed", "thmb-c-r"])
+def test_build_refuses_options_the_kind_does_not_read(runner, args, option):
+    """Before, each of these wrote the same bytes as without the option."""
+    result = runner.invoke(main, ["build", *args])
+    assert result.exit_code == 2
+    assert "does not read" in result.output and option in result.output
+
+
 def test_alpha_table(runner, star_file, tmp_path):
     out = tmp_path / "alpha.json"
     result = _invoke(runner, ["alpha", str(star_file), "--k-min", "1",
@@ -366,6 +379,48 @@ def test_nef_check(runner, tmp_path):
         "decomposition": [{"kind": "line", "points": [0, 1], "coeff": 1}]}))
     result = runner.invoke(main, ["nef-check", str(bad), str(points)])
     assert result.exit_code == 4
+
+
+# 5L - 2E_0 - ... - 2E_4 - E_5 on six double points of the conic
+# y^2 = xz, as twice the conic through points 0-4 plus a line through
+# point 5: it read "certified nef; lower bound 22/5" although the constant
+# is at most 4, because the conic also passes through point 5.
+_SIX_ON_CONIC = {"points": [[1, 0, 0], [1, 1, 1], [1, 2, 4], [1, 3, 9],
+                            [1, 4, 16], [0, 0, 1]],
+                 "multiplicities": [2] * 6}
+_FIVE_OF_SIX_CERT = {"t": 5, "drops": [2, 2, 2, 2, 2, 1], "decomposition": [
+    {"kind": "conic", "points": [0, 1, 2, 3, 4], "coeff": 2},
+    {"kind": "line", "points": [5], "coeff": 1}]}
+
+
+@pytest.fixture
+def six_on_conic(tmp_path):
+    points = tmp_path / "six.json"
+    points.write_text(json.dumps(_SIX_ON_CONIC))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_FIVE_OF_SIX_CERT))
+    return points, cert
+
+
+def test_nef_check_refuses_conic_missing_a_point_on_it(runner, six_on_conic):
+    points, cert = six_on_conic
+    result = runner.invoke(main, ["nef-check", str(cert), str(points)])
+    assert result.exit_code == 4
+    assert "every configuration point" in result.output
+
+
+def test_bounds_checks_certificate_before_alpha_search(runner, six_on_conic,
+                                                      monkeypatch):
+    points, cert = six_on_conic
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("upper_bounds ran before the certificate check")
+
+    monkeypatch.setattr(cli, "upper_bounds", no_search)
+    result = runner.invoke(main, ["bounds", str(points), "--k-max", "2",
+                                  "--certificate-file", str(cert)])
+    assert result.exit_code == 4
+    assert "verdict" not in result.output
 
 
 def test_classify_command(runner, tmp_path):

@@ -69,10 +69,25 @@ def test_validate_component_conic_rules(square):
     config = build_theorem_b_family("z", {"n": 5})
     with pytest.raises(ValidationError):  # three collinear points
         validate_component(ComponentClass("conic", (1, 2, 3)), config)
+    # No three of these six are collinear, and no conic passes through all.
     six = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1),
-                       (2, 1, 1), (1, 2, 1)], [1] * 6)
-    with pytest.raises(ValidationError):  # more than 5 points
+                       (2, 3, 1), (3, 2, 1)], [1] * 6)
+    with pytest.raises(ValidationError, match="no conic"):
         validate_component(ComponentClass("conic", (0, 1, 2, 3, 4, 5)), six)
+    # The first five fix a conic, which misses the sixth.
+    validate_component(ComponentClass("conic", (0, 1, 2, 3, 4)), six)
+
+
+def test_validate_component_conic_must_list_every_point_on_it():
+    # Six points on the conic y^2 = xz, no three collinear.
+    config = FatPointsP2([(1, 0, 0), (1, 1, 1), (1, 2, 4), (1, 3, 9),
+                          (1, 4, 16), (0, 0, 1)], [2] * 6)
+    validate_component(ComponentClass("conic", range(6)), config)
+    with pytest.raises(ValidationError, match="every configuration point"):
+        validate_component(ComponentClass("conic", range(5)), config)
+    # Four points do not fix a conic: a general one through them misses
+    # the other two.
+    validate_component(ComponentClass("conic", range(4)), config)
 
 
 def test_validate_component_index_range(square):

@@ -231,6 +231,23 @@ def test_theorem_b_family_rejects_unknown():
         build_theorem_b_family("vprime", {"multiplicities": (1, 1)})
 
 
+@pytest.mark.parametrize("case_id,params", [
+    ("a", {"r": 1.7, "n": 9}),
+    ("a", {"r": 1.7}),
+    ("a", {"r": True}),
+    ("a", {"n": 9}),
+    ("c", {"r": 3}),
+    ("z", {"n": "6"}),
+    ("vprime", {"multiplicities": (2, 1.0)}),
+], ids=["a-float-r-unread-n", "a-float-r", "a-bool-r", "a-unread-n",
+        "c-unread-r", "z-string-n", "vprime-float"])
+def test_theorem_b_family_rejects_unread_and_non_integer(case_id, params):
+    """Before, r = 1.7 silently built r = 1 and an unread parameter was
+    dropped."""
+    with pytest.raises(ValidationError):
+        build_theorem_b_family(case_id, params)
+
+
 def test_support_line():
     config = build_theorem_b_family("a", {"r": 1, "s": 2})
     line = support_line(config)
