@@ -55,7 +55,7 @@ def upper_bounds(scheme: FatFlatScheme, k_max: int, mode: str = "modp",
 
     Cap-exceeded entries stay in the table flagged unresolved; they never
     contribute a fabricated value.  One search per k, not one alpha_table:
-    perfbench times each k's ``alpha_symbolic`` (ROADMAP item 8).
+    perfbench times each k's ``alpha_symbolic`` (ROADMAP item 2).
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")

@@ -15,10 +15,10 @@ One degree search, over a table of k, serves two lanes that share nothing
 but the pivot discipline: numpy int64 over F_p (default; one prime
 searches, a second confirms only the answer degrees, and a k re-runs over
 Q only when it refutes its degree) and Fraction/Bareiss over Q.  Each k
-starts past the previous answer, so one set of tables per prime serves
-every k; only a step back below a star scheme's probe degree builds fresh
-tables.  Each F_p condition matrix reduces an integer matrix whose rows
-span the same space over Q as the Fraction conditions: the flats' tables
+starts past the previous answer and only scans upward, so one set of
+tables per prime serves every k, each table built once.  Each F_p
+condition matrix reduces an integer matrix whose rows span the same
+space over Q as the Fraction conditions: the flats' tables
 expand through an integral coordinate change, and the points' rows are
 integral Hasse rows.  Its rank mod p is at most its rank over Q, so full
 column rank mod p proves the lower bound.
@@ -420,62 +420,39 @@ def _stack_rational(tables, orders, d):
 
 
 def _kernel_modp(tables, orders, d):
-    """(nullity, kernel vector) of the degree-d condition matrix mod p; the
-    vector is None at full column rank: then no form of degree d exists
-    over Q either.  The nullity over Q is at most the nullity mod p."""
+    """A kernel vector of the degree-d condition matrix mod p, or None at
+    full column rank: then no form of degree d exists over Q either."""
     p = tables[0].p
     M = _stack_modp(tables, orders, d)
-    rank, kernel = rank_kernel_modp(M, p)
+    kernel = rank_kernel_modp(M, p)[1]
     if kernel is not None and (_modp_apply(M, kernel, p) != 0).any():
         raise AssertionError("kernel vector failed verification")
-    return M.shape[1] - rank, kernel
+    return kernel
 
 
 def _kernel_rational(tables, orders, d):
-    """(nullity, kernel vector or None) of the degree-d condition matrix
-    over Q."""
+    """A kernel vector of the degree-d condition matrix over Q, or None."""
     ncols = len(monomial_basis(tables[0].nvars, d))
-    rank, kernel = rank_kernel_rational(_stack_rational(tables, orders, d),
-                                        ncols=ncols)
-    return ncols - rank, kernel
+    return rank_kernel_rational(_stack_rational(tables, orders, d),
+                                ncols=ncols)[1]
 
 
-def _nullity_floor(d, nullity, n):
-    """d - j + 1, j the least with C(j + n, n) > ``nullity``: a lower bound
-    on the degree of every form when the degree-d forms have dimension at
-    most ``nullity``.  A form F != 0 of degree d - j would give C(j + n, n)
-    independent forms x^m F (|m| = j) of degree d."""
-    j = 1
-    while comb(j + n, n) <= nullity:
-        j += 1
-    return d - j + 1
-
-
-def _first_kernels(new_tables, records, orders, floors, probes, kernel_at):
+def _first_kernels(tables, records, orders, floors, kernel_at):
     """{k: the least degree d <= cap with a kernel vector, and that vector,
-    or (None, None)}, each k starting past the previous: see alpha_table.
-    ``new_tables()`` makes fresh tables, needed for a degree below the
-    newest one the current tables hold."""
+    or (None, None)}: one upward scan per k from its proved lower bound,
+    each k starting past the previous (see alpha_table), so the degrees
+    asked of ``tables`` only grow."""
     found, j, b = {}, 0, 0  # alpha(I^(0)) = 0
-    tables, newest = new_tables(), 0
-    n = tables[0].nvars - 1
     for record in records:
-        k, cap = record.k, record.degree_cap
-        lo = max(floors[k], b + k - j)  # proved: alpha(I^(k)) >= lo
-        top, hit = cap, (None, None)  # hit: the least degree with a kernel
-        probe = d = min(cap, max(lo, probes[k]))
-        while lo <= top:
-            if d < newest:
-                tables = new_tables()
-            nullity, kernel = kernel_at(tables, orders[k], d)
-            newest = d
-            if kernel is None:
-                lo = d = d + 1
-                continue
-            hit, top = (d, kernel), d - 1
-            lo = max(lo, _nullity_floor(d, nullity, n))
-            d = d - 1 if d == probe else lo
-        found[k], j, b = hit, k, lo
+        k, kernel = record.k, None
+        d = max(floors[k], b + k - j)  # proved: alpha(I^(k)) >= d
+        while d <= record.degree_cap:
+            kernel = kernel_at(tables, orders[k], d)
+            if kernel is not None:
+                break
+            d += 1  # full rank at d proves alpha(I^(k)) > d
+        found[k] = (d, kernel) if kernel is not None else (None, None)
+        j, b = k, d
     return found
 
 
@@ -487,36 +464,26 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     eliminates only at each answer d; full rank there re-runs that k over Q
     (``escalated``) from d + 1, as rational mode runs every k.
 
-    k has the proved floor start = max(max(orders), b + k - j), b the proved
-    lower bound of the previous record j.  Proof: the eliminations below
-    prove a record's answer d a lower bound over Q, whatever p2 says (each
-    F_p matrix reduces an integer matrix with the Q row space, so rank mod
-    p <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.  A
-    form F != 0 in I^(k) has a first partial != 0 (Euler), of order
-    >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
-    alpha(I^(k)) >= alpha(I^(k-1)) + 1 >= alpha(I^(j)) + k - j.
+    Each k scans upward from start = max(floor, b + k - j), b the proved
+    lower bound of the previous record j, and its answer is the first
+    degree with a kernel vector: full rank at each degree below it, from
+    start on, proves the lower bound over Q, whatever p2 says (each F_p
+    matrix reduces an integer matrix with the Q row space, so rank mod p
+    <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.  Two
+    facts prove start:
 
-    The first elimination for k is at the probe d0 = min(cap, max(start,
-    h)): h = ceil(k*m*s/e) when ``scheme.star_core`` = (e, s, m), the
-    closed form's k * alpha-hat, and h = 0 otherwise.  The bracket is a
-    probe, never a proof: it only picks where to look, and a wrong
-    ``star_core`` costs eliminations, not correctness.  Two lemmas prove
-    the answer:
+    - The floor.  floor = max(max(orders), ceil(k*m*s/e)) when
+      ``scheme.star_core`` = (e, s, m), and max(orders) otherwise.  No
+      form of degree < kappa vanishes to order kappa along a flat.  The
+      star is checked (see FatFlatScheme): W contains m*S_N(e, s), so
+      I(W)^(k) lies in I(m*S_N(e, s))^(k), and alpha(I^(k)) >=
+      k * alpha-hat(m*S_N(e, s)) = k*m*s/e, the bound that
+      ``star_core_lower`` certifies.
+    - The chain lemma.  A form F != 0 in I^(k) has a first partial != 0
+      (Euler), of order >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
+      alpha(I^(k)) >= alpha(I^(k-1)) + 1 >= alpha(I^(j)) + k - j.
 
-    - Full rank at d proves every lower degree: if F != 0 lies in I_c with
-      c < d, then x_0^(d-c) F lies in I_d.  So full rank scans upward.
-    - Small nullity proves a floor: if F != 0 lies in I_(d-j), the
-      C(j+N, N) products x^m F, |m| = j, are independent in I_d, and the
-      nullity over Q is at most the nullity D mod p.  So a kernel at d
-      proves alpha >= d - j + 1, j the least with C(j+N, N) > D.
-
-    A kernel at d0 whose floor is below d0 steps back to d0 - 1: full rank
-    there makes d0 the answer, and a kernel there (the probe overshot)
-    rescans upward from the proved floor.  That rescan is only a guard: a
-    checked star gives h <= k * alpha-hat <= alpha(I^(k)), so only a test
-    that injects a false ``star_core`` reaches it.  A step below the newest
-    degree of a flat's table builds fresh tables.  With h <= start the
-    search is the plain upward scan from start.
+    Degrees only go up, so each flat's table is built once per prime.
     """
     if not ks or any(j >= k for j, k in zip([0, *ks], ks)):
         raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
@@ -529,28 +496,26 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
                            default_degree_cap(scheme, k)) for k in ks]
     orders = {k: [kappa for _, kappa in symbolic_multiplicities(scheme, k)]
               for k in ks}
-    floors = {k: max(kappas) for k, kappas in orders.items()}
     e, s, m = scheme.star_core or (1, 0, 0)
-    probes = {k: -(-k * m * s // e) for k in ks}  # ceil(k*m*s/e), or 0
+    floors = {k: max(*kappas, -(-k * m * s // e))  # ceil(k*m*s/e), or 0
+              for k, kappas in orders.items()}
     subs = [c.subspace for c in scheme.components]
     found = {}
     if mode == "modp":
-        found = _first_kernels(
-            lambda: [AdaptedTablesModP(sub, p1) for sub in subs],
-            records, orders, floors, probes, _kernel_modp)
+        found = _first_kernels([AdaptedTablesModP(sub, p1) for sub in subs],
+                               records, orders, floors, _kernel_modp)
         tables = [AdaptedTablesModP(sub, p2) for sub in subs]
         for record in records:
             k, d, record.primes = record.k, found[record.k][0], (p1, p2)
-            if d is not None and _kernel_modp(tables, orders[k], d)[1] is None:
+            if d is not None and _kernel_modp(tables, orders[k], d) is None:
                 # alpha >= d is proved, and full rank mod p2 at d proves alpha > d.
                 record.field_mode = "rational"
                 floors[k] = d + 1
         del tables
     redo = [r for r in records if r.field_mode == "rational"]
     if redo:
-        found.update(_first_kernels(
-            lambda: [AdaptedTablesQQ(sub) for sub in subs],
-            redo, orders, floors, probes, _kernel_rational))
+        found.update(_first_kernels([AdaptedTablesQQ(sub) for sub in subs],
+                                    redo, orders, floors, _kernel_rational))
     for record in records:
         d, kernel = found[record.k]
         if d is not None:

@@ -85,8 +85,8 @@ class FatFlatScheme:
     at least m.  Then W contains m*S_N(e, s), so I(W)^(k) lies in
     I(m*S_N(e, s))^(k) for every k, and by this monotonicity
     alpha_hat(W) >= alpha_hat(m*S_N(e, s)) = m*s/e.  ``star_core`` reads
-    (e, s, m) off the star; ``alpha_table`` takes its first degree to
-    eliminate from it.
+    (e, s, m) off the star; ``alpha_table`` starts each k at the proved
+    floor ceil(k*m*s/e) that this gives.
     """
 
     ambient_dim: int
@@ -365,8 +365,10 @@ def build_theorem_b_family(case_id, params=None):
         pts = [_pt(0, 1), _pt(0, 2), _pt(1, 0), _pt(2, 0), _pt(0, 0)]
         return FatPointsP2(pts, [2, 1, 1, 1, 1])
     # vprime
-    mults = [require_int(m, "V' multiplicity")
-             for m in params.get("multiplicities", (2, 1))]
+    mults = params.get("multiplicities", (2, 1))
+    if not isinstance(mults, (list, tuple)):
+        raise ValidationError("V' multiplicities must be a list")
+    mults = [require_int(m, "V' multiplicity") for m in mults]
     if not mults or any(m not in (1, 2) for m in mults):
         raise ValidationError("V' multiplicities must be 1 or 2")
     if 2 not in mults:

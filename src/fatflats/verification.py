@@ -134,9 +134,10 @@ def check_star_p3_linear():
 def _full_rank_modp(scheme, k, d):
     """True iff the search for alpha(I^(k)) up to degree d is unresolved:
     its condition matrices have full column rank mod the first prime at
-    every degree up to d (or mod the second and over Q, after an
-    escalation).  Each reduces an integer matrix with the Q row space, and
-    rank over Q is at least rank mod p, so this proves alpha(I^(k)) > d."""
+    every degree from the proved floor to d (or mod the second and over Q,
+    after an escalation).  Each reduces an integer matrix with the Q row
+    space, and rank over Q is at least rank mod p, so with the floor this
+    proves alpha(I^(k)) > d."""
     return not alpha_symbolic(scheme, k, degree_cap=d).resolved
 
 

@@ -28,6 +28,7 @@ from fatflats.schemes import (
     FatComponent,
     FatFlatScheme,
     FatPointsP2,
+    StarData,
     build_rational_target,
     build_theorem_b_family,
     scale_multiplicities,
@@ -471,14 +472,16 @@ def search_log(monkeypatch):
 
 
 def test_alpha_table_builds_each_table_once(star25, search_log):
-    """S_2(2,5) for k <= 4: each k starts past the previous answer and
-    probes first at ceil(5k/2) (its star_core is (2, 5, 1)), so the first
+    """S_2(2,5) for k <= 4: each k starts past the previous answer and at
+    its star floor ceil(5k/2) (its star_core is (2, 5, 1)), so the first
     prime eliminates 3, 4 | 5 | 8, 9 | 10, each degree at most once, and the
     second prime only at the answers; the ten points take their rows in
-    closed form and build no table degree.  A line and two points in P^3
-    for k <= 3 (no star_core, so no probe): the
-    line gets one table per prime, built upward one degree at a time up to
-    the last degree that prime eliminates; the points build none."""
+    closed form and build no table degree.  The six lines of S_3(2,4) for
+    k <= 4 (floor 2k): the first prime eliminates 2, 3 | 4 | 6, 7 | 8, and
+    each line builds one table per prime, at degrees 1..8 in order.  A line
+    and two points in P^3 for k <= 3 (no star_core): the line gets one
+    table per prime, built upward one degree at a time up to the last
+    degree that prime eliminates; the points build none."""
     scheme = star25
     eliminated, built = search_log
     table = alpha_table(scheme, range(1, 5))
@@ -488,12 +491,24 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
     assert [d for p, d in eliminated if p == p2] == [4, 5, 9, 10]
     assert built == []
 
+    eliminated.clear()
+    table = alpha_table(star_configuration(3, 2, 4, seed=1), range(1, 5))
+    assert [r.alpha for r in table] == [3, 4, 7, 8]
+    assert [d for p, d in eliminated if p == p1] == [2, 3, 4, 6, 7, 8]
+    assert [d for p, d in eliminated if p == p2] == [3, 4, 7, 8]
+    for p in DEFAULT_PRIMES:
+        lines = {id(t) for t, _ in built if t.p == p}
+        assert len(lines) == 6
+        for line in lines:
+            assert [d for t, d in built if id(t) == line] == list(range(1, 9))
+
     line = Subspace(3, [LinForm([1, 2, -1, 3]), LinForm([0, 1, 4, -2])])
     scheme = FatFlatScheme(3, (
         FatComponent(line, 2),
         FatComponent(point_subspace((1, -2, 0, 1)), 1),
         FatComponent(point_subspace((3, 1, Fraction(1, 2), 1)), 2)))
     eliminated.clear()
+    built.clear()
     table = alpha_table(scheme, (1, 2, 3))
     assert [r.alpha for r in table] == [3, 5, 8]
     assert [d for p, d in eliminated if p == p1] == list(range(2, 9))
@@ -504,41 +519,33 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
         assert [d for t, d in built if t.p == p] == list(range(1, 9))
 
 
-def test_the_bracket_is_never_a_proof(star25, search_log, monkeypatch):
-    """The star_core probe only picks the first degree to eliminate: the
-    true, an overshooting, an undershooting and no core give equal records.
-    An overshooting core steps back below the probe, and on the lines of
-    S_3(2,4) the step back builds fresh tables.  A scheme cannot be built
-    with a false star, so each false core is injected in place of the
-    ``star_core`` that the checked star gives."""
-    def table_with_core(scheme, ks, core, **kw):
-        with monkeypatch.context() as mp:
-            mp.setattr(FatFlatScheme, "star_core", property(lambda _: core))
-            return alpha_table(scheme, ks, **kw)
-
-    star3 = star_configuration(3, 2, 4, seed=1)
-    eliminated, built = search_log
-    # alpha(I^(2)) = 4, and (2, 5, 1) probes ceil(2*5/2) = 5: a kernel
-    # there, then a kernel at 4, which start = max(orders) = 4 proves.
-    overshot = table_with_core(star3, [2], (2, 5, 1))
-    assert [r.alpha for r in overshot] == [4]
-    p1 = DEFAULT_PRIMES[0]
-    assert [d for p, d in eliminated if p == p1] == [5, 4]
-    assert len({id(t) for t, _ in built if t.p == p1}) == 2 * 6
-
-    for scheme, cores in ((star25, [(1, 5, 1), (2, 2, 1), None]),
-                          (star3, [(2, 5, 1), None])):
+def test_a_true_star_floor_keeps_every_record(star25):
+    """The star floor ceil(k*m*s/e) is proved, so it only skips degrees
+    below the answer: the checked star, a weaker star that the scheme also
+    contains, and no star give equal records, witnesses included."""
+    for scheme in (star25, star_configuration(3, 2, 4, seed=1)):
+        n, hyps = scheme.ambient_dim, scheme.star.hyperplanes
+        others = (FatFlatScheme(n, scheme.components),
+                  FatFlatScheme(n, scheme.components, StarData(hyps[:3], 2)))
         for mode, k_max in (("modp", 4), ("rational", 2)):
             expected = alpha_table(scheme, range(1, k_max + 1), mode=mode)
-            for core in cores:
-                assert table_with_core(scheme, range(1, k_max + 1), core,
-                                       mode=mode) == expected
+            for other in others:
+                assert alpha_table(other, range(1, k_max + 1),
+                                   mode=mode) == expected
+
+    scheme = scale_multiplicities(star_configuration(4, 4, 5, seed=1), 2)
+    n, hyps = scheme.ambient_dim, scheme.star.hyperplanes
+    expected = alpha_table(scheme, range(1, 4))
+    assert [r.alpha for r in expected] == [3, 5, 8]
+    for other in (FatFlatScheme(n, scheme.components),
+                  FatFlatScheme(n, scheme.components, StarData(hyps, 4, 1))):
+        assert alpha_table(other, range(1, 4)) == expected
 
 
-def test_small_nullity_proves_the_answer(search_log):
-    """2*S_4(4,5) at k = 4 alone: the search starts at max(orders) = 8 and
-    probes ceil(4*2*5/4) = 10, where the forms have dimension 1 < C(1+4, 4),
-    so alpha >= 10 is proved without eliminating any lower degree."""
+def test_the_star_floor_proves_the_answer(search_log):
+    """2*S_4(4,5) at k = 4 alone: max(orders) = 8, and the star floor
+    ceil(4*2*5/4) = 10 proves alpha >= 10 without eliminating any lower
+    degree, so the one elimination mod p1 is at 10."""
     scheme = scale_multiplicities(star_configuration(4, 4, 5, seed=1), 2)
     eliminated, _ = search_log
     assert [r.alpha for r in alpha_table(scheme, [4])] == [10]

@@ -82,7 +82,7 @@ def test_scheme_checks_its_star():
 def test_star_over_its_own_planes_is_refused():
     """S_3(2,4) claiming e = 1 over its own four planes (closed form 4,
     true constant 2) is refused when built: the planes are not components,
-    so no search ever starts from that probe."""
+    so no search ever starts from that floor."""
     scheme = star_configuration(3, 2, 4, seed=1)
     planes = StarData(scheme.star.hyperplanes, 1)
     with pytest.raises(ValidationError, match="star_core flat L1 "):
@@ -239,11 +239,16 @@ def test_theorem_b_family_rejects_unknown():
     ("c", {"r": 3}),
     ("z", {"n": "6"}),
     ("vprime", {"multiplicities": (2, 1.0)}),
+    ("vprime", {"multiplicities": 5}),
+    ("vprime", {"multiplicities": {2: 1}}),
+    ("vprime", {"multiplicities": "21"}),
 ], ids=["a-float-r-unread-n", "a-float-r", "a-bool-r", "a-unread-n",
-        "c-unread-r", "z-string-n", "vprime-float"])
+        "c-unread-r", "z-string-n", "vprime-float", "vprime-int",
+        "vprime-dict", "vprime-string"])
 def test_theorem_b_family_rejects_unread_and_non_integer(case_id, params):
     """Before, r = 1.7 silently built r = 1 and an unread parameter was
-    dropped."""
+    dropped; V' multiplicities 5 raised TypeError, and a dict or a string
+    was read key by key or character by character."""
     with pytest.raises(ValidationError):
         build_theorem_b_family(case_id, params)
 
