@@ -341,13 +341,15 @@ def sweep(grid_file, seed, output_dir):
                     t0 = time.monotonic()
                     record = alpha_symbolic(scheme, k, degree_cap=cap)
                     millis = int((time.monotonic() - t0) * 1000)
+                    # Blank when the star product closed k: no prime ran.
+                    prime1, prime2 = record.primes or (None, None)
                     rows.append({
                         "N": n, "e": e, "s": s, "m": m, "k": k,
                         "alpha": record.alpha,
                         "alpha_over_k": "" if record.alpha is None else
                         encode_scalar(Fraction(record.alpha, k)),
                         "mode": record.field_mode,
-                        "prime1": p1, "prime2": p2,
+                        "prime1": prime1, "prime2": prime2,
                         "millis": millis,
                     })
         os.makedirs(output_dir, exist_ok=True)

@@ -13,15 +13,18 @@ degree (see :func:`_hasse_rows`).
 
 One degree search, over a table of k, serves two lanes that share nothing
 but the pivot discipline: numpy int64 over F_p (default; one prime
-searches, a second confirms only the answer degrees, and a k re-runs over
+searches, a second confirms only the kernel degrees, and a k re-runs over
 Q only when it refutes its degree) and Fraction/Bareiss over Q.  Each k
 starts past the previous answer and only scans upward, so one set of
-tables per prime serves every k, each table built once.  Each F_p
-condition matrix reduces an integer matrix whose rows span the same
-space over Q as the Fraction conditions: the flats' tables
-expand through an integral coordinate change, and the points' rows are
-integral Hasse rows.  Its rank mod p is at most its rank over Q, so full
-column rank mod p proves the lower bound.
+tables per prime serves every k, each table built once.  On a scheme
+with a star, a product of the star's hyperplanes in I^(k), proved by
+counting its orders, bounds the scan from above: when every degree below
+it has full rank, the product is the answer's rational witness, and no
+second prime runs.  Each F_p condition matrix reduces an integer matrix
+whose rows span the same space over Q as the Fraction conditions: the
+flats' tables expand through an integral coordinate change, and the
+points' rows are integral Hasse rows.  Its rank mod p is at most its
+rank over Q, so full column rank mod p proves the lower bound.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,13 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .linalg import rank_kernel_modp, rank_kernel_rational
-from .projective import Subspace, complete_basis
+from .projective import (
+    LinForm,
+    Subspace,
+    complete_basis,
+    hyperplane_subspace,
+    subspace_contains,
+)
 from .scalars import DEFAULT_PRIMES
 from .schemes import FatFlatScheme, symbolic_multiplicities
 
@@ -125,13 +134,17 @@ def _exponents(nvars: int, degree: int):
     return np.array(monomial_basis(nvars, degree), dtype=np.int64)
 
 
-def _primitive_point(sub: Subspace):
-    """The point of a codim-N ``sub`` as a primitive integer vector:
-    ``sub.basis[0]`` (1 at a non-pivot column) times the lcm of its
-    denominators."""
-    v = sub.basis[0]
+def _primitive(v):
+    """A rational vector with a coordinate 1 (a point's ``basis[0]``, a
+    ``LinForm``'s coefficients) times the lcm of its denominators: a
+    primitive integer vector."""
     scale = lcm(*(x.denominator for x in v))
     return tuple(int(x * scale) for x in v)
+
+
+def _primitive_point(sub: Subspace):
+    """The point of a codim-N ``sub`` as a primitive integer vector."""
+    return _primitive(sub.basis[0])
 
 
 def _hasse_rows(point, d: int, kappa: int, p: int):
@@ -334,17 +347,20 @@ class Form:
 
 
 def form_product(factors):
-    """Exact expansion of a product of powers of linear forms."""
-    factors = [(f, int(k)) for f, k in factors]
+    """Exact expansion of a product of powers of linear forms, each a
+    ``LinForm`` or its N+1 coefficients; integer coefficients give an
+    integral product."""
+    factors = [(f.coeffs if isinstance(f, LinForm) else tuple(f), int(k))
+               for f, k in factors]
     if not factors:
         raise ValidationError("empty product")
-    n = factors[0][0].ambient_dim
-    if any(f.ambient_dim != n for f, _ in factors):
+    n = len(factors[0][0]) - 1
+    if any(len(f) != n + 1 for f, _ in factors):
         raise ValidationError("ambient dimension mismatch")
-    product = Form.from_dict(n, 0, {(0,) * (n + 1): Fraction(1)})
+    product = Form.from_dict(n, 0, {(0,) * (n + 1): 1})
     units = [tuple(int(i == v) for i in range(n + 1)) for v in range(n + 1)]
     for f, k in factors:
-        linear = Form.from_dict(n, 1, dict(zip(units, f.coeffs)))
+        linear = Form.from_dict(n, 1, dict(zip(units, f)))
         for _ in range(k):
             product = multiply_forms(product, linear)
     return product
@@ -368,7 +384,14 @@ def multiply_forms(f: Form, g: Form) -> Form:
 
 @dataclass
 class AlphaRecord:
-    """alpha(I^(k)) with provenance: witness, field mode, cap status."""
+    """alpha(I^(k)) with provenance: witness, field mode, cap status.
+
+    ``field_mode`` is the lane that answered ("modp", or "rational" for
+    the rational lane and for an escalated k), and ``primes`` the mod-p
+    lane's primes when they ran on this k.  A k that its star product
+    closes (see alpha_table) keeps the lane of the call, has a rational,
+    integral witness and ``primes`` None: no prime confirmed it, so it is
+    never ``escalated``."""
 
     k: int
     alpha: int = None
@@ -437,21 +460,57 @@ def _kernel_rational(tables, orders, d):
                                 ncols=ncols)[1]
 
 
-def _first_kernels(tables, records, orders, floors, kernel_at):
-    """{k: the least degree d <= cap with a kernel vector, and that vector,
-    or (None, None)}: one upward scan per k from its proved lower bound,
-    each k starting past the previous (see alpha_table), so the degrees
-    asked of ``tables`` only grow."""
+def _star_products(scheme: FatFlatScheme, records, floors):
+    """{k: the exponents (a_1..a_s) of the least-degree balanced product
+    prod H_j^(a_j) of the star's hyperplanes in I^(k)}, for the ks that
+    have one up to their cap.
+
+    The product vanishes to order sum_{H_j ⊇ c} a_j along a component c,
+    so it lies in I^(k) when each c is covered: that sum is >= k*mu_c.
+    Balanced: a_j = q + (j < r) for a total T = q*s + r, T taken upward
+    from floors[k]; each a_j only grows with T, so the first covered T is
+    the least.  For the pure star m*S_N(e, s) that is the least degree of
+    any star product, since for a fixed total the e smallest entries sum
+    highest when the entries differ by at most one."""
+    star = scheme.star
+    if star is None:
+        return {}
+    planes = [hyperplane_subspace(h) for h in star.hyperplanes]
+    covers = [([j for j, plane in enumerate(planes)
+                if subspace_contains(plane, c.subspace)], c.multiplicity)
+              for c in scheme.components]
+    if not all(on for on, _ in covers):
+        return {}  # a component on no star hyperplane: no product
+    products = {}
+    for record in records:
+        k = record.k
+        for total in range(floors[k], record.degree_cap + 1):
+            q, r = divmod(total, star.s)
+            a = [q + (j < r) for j in range(star.s)]
+            if all(sum(a[j] for j in on) >= k * mu for on, mu in covers):
+                products[k] = a
+                break
+    return products
+
+
+def _first_kernels(tables, records, orders, floors, uppers, kernel_at):
+    """{k: the least degree d with a kernel vector, and that vector}: one
+    upward scan per k from its proved lower bound, each k starting past
+    the previous (see alpha_table), so the degrees asked of ``tables``
+    only grow.  The scan stops below uppers[k], the degree of a proved
+    witness, giving (uppers[k], None) when full rank reaches it, and past
+    the cap, giving (None, None)."""
     found, j, b = {}, 0, 0  # alpha(I^(0)) = 0
     for record in records:
         k, kernel = record.k, None
+        top = uppers.get(k, record.degree_cap + 1)
         d = max(floors[k], b + k - j)  # proved: alpha(I^(k)) >= d
-        while d <= record.degree_cap:
+        while d < top:
             kernel = kernel_at(tables, orders[k], d)
             if kernel is not None:
                 break
             d += 1  # full rank at d proves alpha(I^(k)) > d
-        found[k] = (d, kernel) if kernel is not None else (None, None)
+        found[k] = (d, kernel) if d <= record.degree_cap else (None, None)
         j, b = k, d
     return found
 
@@ -461,16 +520,24 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     """One :class:`AlphaRecord` (alpha(I^(k)) with witness) per k of the
     strictly increasing sequence ``ks``.  modp mode: of ``DEFAULT_PRIMES``,
     p1 searches every k on one set of tables; p2, on its own tables,
-    eliminates only at each answer d; full rank there re-runs that k over Q
-    (``escalated``) from d + 1, as rational mode runs every k.
+    eliminates only at each kernel degree d; full rank there re-runs that
+    k over Q (``escalated``) from d + 1, as rational mode runs every k.
 
     Each k scans upward from start = max(floor, b + k - j), b the proved
     lower bound of the previous record j, and its answer is the first
     degree with a kernel vector: full rank at each degree below it, from
     start on, proves the lower bound over Q, whatever p2 says (each F_p
     matrix reduces an integer matrix with the Q row space, so rank mod p
-    <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.  Two
-    facts prove start:
+    <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.
+
+    A scheme with a star brackets k from above too: the least balanced
+    product u of the star's hyperplanes in I^(k) (``_star_products``) is
+    an exact witness of alpha(I^(k)) <= u, by counting orders alone.  The
+    scan stops at u - 1; full rank up to there proves alpha(I^(k)) = u,
+    and the product, expanded over Q from each hyperplane's primitive
+    integer coefficients, is the record's witness, with no second prime
+    and no run over Q.  A kernel below u takes the path above.  Two facts
+    prove start:
 
     - The floor.  floor = max(max(orders), ceil(k*m*s/e)) when
       ``scheme.star_core`` = (e, s, m), and max(orders) otherwise.  No
@@ -499,15 +566,21 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     e, s, m = scheme.star_core or (1, 0, 0)
     floors = {k: max(*kappas, -(-k * m * s // e))  # ceil(k*m*s/e), or 0
               for k, kappas in orders.items()}
+    products = _star_products(scheme, records, floors)
+    uppers = {k: sum(a) for k, a in products.items()}
     subs = [c.subspace for c in scheme.components]
     found = {}
     if mode == "modp":
         found = _first_kernels([AdaptedTablesModP(sub, p1) for sub in subs],
-                               records, orders, floors, _kernel_modp)
+                               records, orders, floors, uppers, _kernel_modp)
         tables = [AdaptedTablesModP(sub, p2) for sub in subs]
         for record in records:
-            k, d, record.primes = record.k, found[record.k][0], (p1, p2)
-            if d is not None and _kernel_modp(tables, orders[k], d) is None:
+            k, (d, kernel) = record.k, found[record.k]
+            if d is not None and kernel is None:
+                continue  # the star product proves d; no prime confirms it
+            record.primes = (p1, p2)
+            if kernel is not None and \
+               _kernel_modp(tables, orders[k], d) is None:
                 # alpha >= d is proved, and full rank mod p2 at d proves alpha > d.
                 record.field_mode = "rational"
                 floors[k] = d + 1
@@ -515,16 +588,23 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     redo = [r for r in records if r.field_mode == "rational"]
     if redo:
         found.update(_first_kernels([AdaptedTablesQQ(sub) for sub in subs],
-                                    redo, orders, floors, _kernel_rational))
+                                    redo, orders, floors, uppers,
+                                    _kernel_rational))
     for record in records:
         d, kernel = found[record.k]
-        if d is not None:
-            field = p1 if record.field_mode == "modp" else "rational"
-            basis = monomial_basis(scheme.ambient_dim + 1, d)
-            coeffs = {basis[i]: v if field == "rational" else int(v)
-                      for i, v in enumerate(kernel) if v}
-            record.alpha, record.witness = d, Form.from_dict(
-                scheme.ambient_dim, d, coeffs, field)
+        if d is None:
+            continue
+        if kernel is None:
+            record.alpha, record.witness = d, form_product(
+                (_primitive(h.coeffs), a)
+                for h, a in zip(scheme.star.hyperplanes, products[record.k]))
+            continue
+        field = p1 if record.field_mode == "modp" else "rational"
+        basis = monomial_basis(scheme.ambient_dim + 1, d)
+        coeffs = {basis[i]: v if field == "rational" else int(v)
+                  for i, v in enumerate(kernel) if v}
+        record.alpha, record.witness = d, Form.from_dict(
+            scheme.ambient_dim, d, coeffs, field)
     return records
 
 

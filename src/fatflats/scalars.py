@@ -11,7 +11,9 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-# The search's two 31-bit primes: the first searches, the second confirms.
+# The search's two 31-bit primes: the first searches, the second confirms
+# each kernel it finds.  A k that a star product closes needs neither to
+# confirm it (see interpolation.alpha_table).
 DEFAULT_PRIMES = (2147483647, 2147483629)
 
 

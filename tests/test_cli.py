@@ -263,6 +263,15 @@ def test_bounds_star_core_exact(runner, tmp_path):
     report = json.loads(out.read_text())
     assert report["verdict"] == "exact"
     assert report["upper"]["value"] == "5/2"
+    # Each k is closed by its star product: the record prints that
+    # rational witness, names no primes, and `member` accepts it.
+    for row in report["table"]:
+        assert "primes" not in row and row["field_mode"] == "modp"
+        form_path = tmp_path / f"witness{row['k']}.json"
+        form_path.write_text(json.dumps(row["witness"]))
+        result = _invoke(runner, ["member", str(form_path), str(path),
+                                  "--k", str(row["k"])])
+        assert result.output.strip() == "member"
 
 
 # 3L - 2E_1 - E_2 - E_3 - E_4 on case c (the double point first): 7/3.
@@ -494,20 +503,24 @@ def test_sweep_deterministic_modulo_millis(runner, tmp_path):
 
 
 def test_sweep_skips_invalid_stars(runner, tmp_path):
-    """e = 3 > N = 2 is skipped while the grid has a valid (N, e, s);
-    the rows carry the search's fixed primes."""
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"N": [2], "e": [2, 3], "s": [2, 3],
-                                "k_max": 1}))
-    outdir = tmp_path / "out"
-    result = _invoke(runner, ["sweep", str(grid), "-o", str(outdir)])
-    assert result.exit_code == 0
-    data = json.loads((outdir / "sweep.json").read_text())
-    assert [(r["e"], r["s"], r["alpha"]) for r in data["rows"]] == [
-        (2, 2, 1), (2, 3, 2)]
-    assert data["primes"] == list(DEFAULT_PRIMES)
-    assert all([r["prime1"], r["prime2"]] == data["primes"]
-               for r in data["rows"])
+    """e = 3 > N = 2 is skipped while the grid has a valid (N, e, s).
+    A row names the primes its record ran: none where the star product
+    closed k, both where the mod-p scan ran (under cap 1, S_2(2,3) is
+    unresolved)."""
+    for cap, alphas, primes in ((None, [1, 2], [None, None]),
+                                (1, [1, None], list(DEFAULT_PRIMES))):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"N": [2], "e": [2, 3], "s": [2, 3],
+                                    "k_max": 1, "cap": cap}))
+        outdir = tmp_path / "out"
+        result = _invoke(runner, ["sweep", str(grid), "-o", str(outdir)])
+        assert result.exit_code == 0
+        data = json.loads((outdir / "sweep.json").read_text())
+        assert [(r["e"], r["s"], r["alpha"]) for r in data["rows"]] == [
+            (2, 2, alphas[0]), (2, 3, alphas[1])]
+        assert data["primes"] == list(DEFAULT_PRIMES)
+        assert [[r["prime1"], r["prime2"]] for r in data["rows"]] == [
+            [None, None], primes]
 
 
 def test_version(runner):

@@ -29,11 +29,13 @@ from fatflats.schemes import (
     FatFlatScheme,
     FatPointsP2,
     StarData,
+    build_quasi_star,
     build_rational_target,
     build_theorem_b_family,
     scale_multiplicities,
     star_configuration,
 )
+from fatflats.verification import _theorem_a_instance
 
 
 # -- an independent oracle: derivative conditions at fat points ---------------
@@ -318,6 +320,8 @@ def test_line_in_p3_alpha_one():
 
 
 def test_witness_is_member_and_modes_agree(star25):
+    """The star product closes every k of S_2(2,5): in both lanes the
+    witness is the same rational product, and no prime confirmed it."""
     scheme = star25
     for k in (1, 2, 3):
         modp = alpha_symbolic(scheme, k)
@@ -325,8 +329,10 @@ def test_witness_is_member_and_modes_agree(star25):
         assert modp.alpha == rational.alpha
         assert membership(modp.witness, scheme, k)
         assert membership(rational.witness, scheme, k)
-        assert not modp.escalated
-        assert modp.primes == DEFAULT_PRIMES
+        assert modp.witness == rational.witness
+        assert modp.witness.field == "rational"
+        assert modp.field_mode == "modp" and not modp.escalated
+        assert modp.primes is None and rational.primes is None
 
 
 def test_membership_detects_nonmembers(star25):
@@ -473,34 +479,34 @@ def search_log(monkeypatch):
 
 def test_alpha_table_builds_each_table_once(star25, search_log):
     """S_2(2,5) for k <= 4: each k starts past the previous answer and at
-    its star floor ceil(5k/2) (its star_core is (2, 5, 1)), so the first
-    prime eliminates 3, 4 | 5 | 8, 9 | 10, each degree at most once, and the
-    second prime only at the answers; the ten points take their rows in
-    closed form and build no table degree.  The six lines of S_3(2,4) for
-    k <= 4 (floor 2k): the first prime eliminates 2, 3 | 4 | 6, 7 | 8, and
-    each line builds one table per prime, at degrees 1..8 in order.  A line
-    and two points in P^3 for k <= 3 (no star_core): the line gets one
-    table per prime, built upward one degree at a time up to the last
-    degree that prime eliminates; the points build none."""
+    its star floor ceil(5k/2) (its star_core is (2, 5, 1)), and stops below
+    its balanced line product, of degree 4, 5, 9, 10.  So the first prime
+    eliminates only 3 | - | 8 | -, where it finds full rank, the products
+    close every k, and the second prime eliminates nothing; the ten points
+    take their rows in closed form and build no table degree.  The six
+    lines of S_3(2,4) for k <= 4 (floor 2k, products of degree 3, 4, 7,
+    8): the first prime eliminates 2 | - | 6 | -, and each line builds
+    its first-prime table only, at degrees 1..6 in order.  A line and two
+    points in P^3 for k <= 3 (no star_core): the line gets one table per
+    prime, built upward one degree at a time up to the last degree that
+    prime eliminates; the points build none."""
     scheme = star25
     eliminated, built = search_log
     table = alpha_table(scheme, range(1, 5))
     assert [r.alpha for r in table] == [4, 5, 9, 10]
     p1, p2 = DEFAULT_PRIMES
-    assert [d for p, d in eliminated if p == p1] == [3, 4, 5, 8, 9, 10]
-    assert [d for p, d in eliminated if p == p2] == [4, 5, 9, 10]
+    assert eliminated == [(p1, 3), (p1, 8)]
     assert built == []
 
     eliminated.clear()
     table = alpha_table(star_configuration(3, 2, 4, seed=1), range(1, 5))
     assert [r.alpha for r in table] == [3, 4, 7, 8]
-    assert [d for p, d in eliminated if p == p1] == [2, 3, 4, 6, 7, 8]
-    assert [d for p, d in eliminated if p == p2] == [3, 4, 7, 8]
-    for p in DEFAULT_PRIMES:
-        lines = {id(t) for t, _ in built if t.p == p}
-        assert len(lines) == 6
-        for line in lines:
-            assert [d for t, d in built if id(t) == line] == list(range(1, 9))
+    assert eliminated == [(p1, 2), (p1, 6)]
+    assert {t.p for t, _ in built} == {p1}
+    lines = {id(t) for t, _ in built}
+    assert len(lines) == 6
+    for line in lines:
+        assert [d for t, d in built if id(t) == line] == list(range(1, 7))
 
     line = Subspace(3, [LinForm([1, 2, -1, 3]), LinForm([0, 1, 4, -2])])
     scheme = FatFlatScheme(3, (
@@ -522,36 +528,80 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
 def test_a_true_star_floor_keeps_every_record(star25):
     """The star floor ceil(k*m*s/e) is proved, so it only skips degrees
     below the answer: the checked star, a weaker star that the scheme also
-    contains, and no star give equal records, witnesses included."""
+    contains, and no star give equal alpha tables.  The witnesses differ:
+    where a star product closes k, it is the witness."""
     for scheme in (star25, star_configuration(3, 2, 4, seed=1)):
         n, hyps = scheme.ambient_dim, scheme.star.hyperplanes
         others = (FatFlatScheme(n, scheme.components),
                   FatFlatScheme(n, scheme.components, StarData(hyps[:3], 2)))
         for mode, k_max in (("modp", 4), ("rational", 2)):
-            expected = alpha_table(scheme, range(1, k_max + 1), mode=mode)
+            expected = [r.alpha for r in
+                        alpha_table(scheme, range(1, k_max + 1), mode=mode)]
             for other in others:
-                assert alpha_table(other, range(1, k_max + 1),
-                                   mode=mode) == expected
+                assert [r.alpha for r in alpha_table(
+                    other, range(1, k_max + 1), mode=mode)] == expected
 
     scheme = scale_multiplicities(star_configuration(4, 4, 5, seed=1), 2)
     n, hyps = scheme.ambient_dim, scheme.star.hyperplanes
-    expected = alpha_table(scheme, range(1, 4))
-    assert [r.alpha for r in expected] == [3, 5, 8]
+    expected = [r.alpha for r in alpha_table(scheme, range(1, 4))]
+    assert expected == [3, 5, 8]
     for other in (FatFlatScheme(n, scheme.components),
                   FatFlatScheme(n, scheme.components, StarData(hyps, 4, 1))):
-        assert alpha_table(other, range(1, 4)) == expected
+        assert [r.alpha for r in alpha_table(other, range(1, 4))] == expected
 
 
 def test_the_star_floor_proves_the_answer(search_log):
     """2*S_4(4,5) at k = 4 alone: max(orders) = 8, and the star floor
     ceil(4*2*5/4) = 10 proves alpha >= 10 without eliminating any lower
-    degree, so the one elimination mod p1 is at 10."""
+    degree.  The product (H_1...H_5)^2 vanishes to order 8 at each point,
+    so it proves alpha <= 10: no elimination at all."""
     scheme = scale_multiplicities(star_configuration(4, 4, 5, seed=1), 2)
     eliminated, _ = search_log
-    assert [r.alpha for r in alpha_table(scheme, [4])] == [10]
-    assert [d for p, d in eliminated if p == DEFAULT_PRIMES[0]] == [10]
+    (record,) = alpha_table(scheme, [4])
+    assert record.alpha == 10 and record.primes is None
+    assert eliminated == []
+    coeffs = [c for _, c in record.witness.coeffs]
+    assert all(type(c) is int for c in coeffs)
 
 
+_PRODUCT_SCHEMES = {
+    # name: (scheme, largest k mod p, largest k over Q).  Exact membership
+    # runs through the Fraction tables (slow at high degree), so the doubled
+    # schemes stop earlier.
+    "S_2(2,4)": (star_configuration(2, 2, 4, seed=1), 4, 2),
+    "S_2(2,5)": (star_configuration(2, 2, 5, seed=1), 4, 2),
+    "S_2(2,6)": (star_configuration(2, 2, 6, seed=1), 4, 2),
+    "S_3(2,4)": (star_configuration(3, 2, 4, seed=1), 4, 2),
+    "2*S_2(2,5)": (scale_multiplicities(star_configuration(2, 2, 5, seed=1),
+                                        2), 4, 1),
+    "theorem-a": (_theorem_a_instance(), 3, 1),
+    "quasi-star-4": (build_quasi_star(4), 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_SCHEMES))
+def test_star_product_is_sound_and_tight(name):
+    """The star product gives the alpha table of the same components
+    without their star, which takes the search with no upper bracket, in
+    both lanes.  Each product witness is an integral form that passes
+    exact membership (over Q, up to the rational lane's largest k; the
+    mod-p lane's witness at such k is the same product)."""
+    scheme, k_modp, k_rational = _PRODUCT_SCHEMES[name]
+    starless = FatFlatScheme(scheme.ambient_dim, scheme.components)
+    tables = {}
+    for mode, k_max in (("modp", k_modp), ("rational", k_rational)):
+        ks = range(1, k_max + 1)
+        tables[mode] = alpha_table(scheme, ks, mode=mode)
+        assert [r.alpha for r in tables[mode]] == \
+            [r.alpha for r in alpha_table(starless, ks, mode=mode)]
+        for r in tables[mode]:
+            assert r.primes is None and not r.escalated
+            assert r.field_mode == mode and r.witness.field == "rational"
+            assert r.witness.degree == r.alpha
+            assert all(type(c) is int for _, c in r.witness.coeffs)
+    for modp, rational in zip(tables["modp"], tables["rational"]):
+        assert modp.witness == rational.witness
+        assert membership(rational.witness, scheme, rational.k)
 @pytest.mark.parametrize("q", DEFAULT_PRIMES)
 def test_alpha_table_matches_one_k_searches(q):
     """The table gives each k the record of its own search from max(orders),

@@ -16,7 +16,11 @@ from fatflats.projective import (
     random_general_hyperplanes,
     random_point_on,
 )
-from fatflats.schemes import build_theorem_a, build_theorem_b_family
+from fatflats.schemes import (
+    FatFlatScheme,
+    build_theorem_a,
+    build_theorem_b_family,
+)
 from fatflats.serialization import (
     alpha_record_to_dict,
     certificate_from_dict,
@@ -115,7 +119,9 @@ def test_form_roundtrip():
 
 
 def test_modp_forms_are_not_serialized(star25):
-    scheme = star25
+    # Without its star the scheme has no product witness: the mod-p lane
+    # answers with a witness mod p1.
+    scheme = FatFlatScheme(2, star25.components)
     record = alpha_symbolic(scheme, 1)
     assert record.witness.field != "rational"
     with pytest.raises(ValidationError):
