@@ -168,7 +168,7 @@ def _hasse_rows(point, d: int, kappa: int, p: int):
 
     One gather per variable from the (d+1) x (r+1) table
     C(a, b) P_i^(a - b) mod p, the Pascal table times the powers of
-    P_i mod p; each product of two residues < p < 2^31 is below 2^62 and
+    P_i mod p; each product of two residues < p < 2^23 is below 2^46 and
     is reduced at once."""
     r = min(kappa, d + 1) - 1
     cols, rows = _exponents(len(point), d), _exponents(len(point), r)
@@ -243,9 +243,9 @@ class AdaptedTablesModP(_NewestDegree):
             for k in range(nv):
                 c = int(self.B[j, k])
                 if c:
-                    sm = _shift_map(nv, d - 1, k)
-                    acc[:, sm] = (acc[:, sm] + c * src % p) % p
-            T[rows] = acc
+                    # At most N + 1 terms, each below p^2 < 2^46.
+                    acc[:, _shift_map(nv, d - 1, k)] += c * src
+            T[rows] = acc % p
         self._degree, self._table = d, T
 
     def block(self, d: int, kappa: int):
@@ -429,8 +429,9 @@ def default_degree_cap(scheme: FatFlatScheme, k: int) -> int:
 
 
 def _modp_apply(matrix, vector, p):
-    """matrix @ vector mod p without int64 overflow: entries are < p < 2^31,
-    so each product fits in int64 and the reduced products sum safely."""
+    """matrix @ vector mod p without int64 overflow: entries are < p < 2^23,
+    so each product is below 2^46 and the reduced products sum safely for
+    any column count."""
     return (matrix * (vector[None, :] % p) % p).sum(axis=1) % p
 
 

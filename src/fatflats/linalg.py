@@ -6,12 +6,10 @@ rank, inverse and kernel by one back-substitution, and elimination over
 F_p blocked on two levels for the fast lane.  Pivot order is deterministic
 (leftmost column, topmost nonzero row) so kernel vectors are reproducible.
 
-The F_p kernel works on int64 residues of a prime p < 2^31.  Its block
-products run as float64 BLAS matrix products on integers: each product
-has at most 64 terms, each below (p - 1) * (2^16 - 1) because the right
-operand is split into 16-bit limbs, so every partial sum stays below
-2^53 and is exact.  The sums are converted back to int64 and reduced
-mod p; no rounded value is ever used.
+The F_p kernel works on int64 residues of a prime p < _PRIME_BOUND.  Its
+block products run as one float64 BLAS matrix product on integers, whose
+partial sums stay below 2^53 and so are exact; they are converted back to
+int64 and reduced mod p, and no rounded value is ever used.
 """
 
 from bisect import bisect_right
@@ -126,31 +124,23 @@ def rank_kernel_rational(rows, ncols=None):
     return rank, kernel
 
 
-# The exactness bound of rank_kernel_modp's block products:
-# _PANEL * (p - 1) * (2^_LIMB_BITS - 1) < 2^6 * 2^31 * 2^16 = 2^53 for
-# every p < _PRIME_BOUND, whatever the summation order.  Each panel of
-# _PANEL columns is eliminated in sub-panels of _SUB columns, so every
-# block product has at most _PANEL terms.  The trailing update runs in
-# strips of _STRIP columns to bound its temporaries.
+# Each panel of _PANEL columns is eliminated in sub-panels of _SUB
+# columns, so every block product has at most _PANEL terms.  The trailing
+# update runs in strips of _STRIP columns to bound its temporaries.
 _PANEL = 64
 _SUB = 16
 _STRIP = 256
-_LIMB_BITS = 16
-_PRIME_BOUND = 1 << 31
+# The exactness bound of the block products: for every p < _PRIME_BOUND,
+# _PANEL * (p - 1)^2 < 2^6 * 2^46 = 2^52 < 2^53, so each partial sum of a
+# product of residues is an exact float64 integer, whatever the order.
+_PRIME_BOUND = 1 << 23
 
 
 def _matmul_lift(a, b, p):
-    """An int64 matrix congruent to ``a @ b`` mod p: ``a`` is float64 with
-    at most _PANEL columns and integral entries in [0, p), ``b`` is int64
-    in [0, p).  Its entries are (a @ hi mod p) * 2^16 < 2^47 plus
-    a @ lo < 2^53, so they lie in [0, 2^54)."""
-    lo = (b & ((1 << _LIMB_BITS) - 1)).astype(np.float64)
-    hi = (b >> _LIMB_BITS).astype(np.float64)
-    out = (a @ hi).astype(np.int64)
-    out %= p
-    out <<= _LIMB_BITS
-    out += (a @ lo).astype(np.int64)
-    return out
+    """``a @ b`` as an int64 matrix, exactly: ``a`` is float64 with at most
+    _PANEL columns and integral entries in [0, p), ``b`` is int64 in
+    [0, p), so the entries lie in [0, 2^52)."""
+    return (a @ b.astype(np.float64)).astype(np.int64)
 
 
 def _matmul_modp(a, b, p):
@@ -180,7 +170,7 @@ def _trailing_update(T, L, p):
         X = _matmul_modp(top_inv, T[:k, s:s + _STRIP], p)
         T[:k, s:s + _STRIP] = X
         if bottom.size:
-            # T - lift lies in (-2^54, 2^31), so one reduction serves.
+            # T - lift lies in (-2^52, p), so one reduction serves.
             T[k:, s:s + _STRIP] = (T[k:, s:s + _STRIP]
                                    - _matmul_lift(bottom, X, p)) % p
 
@@ -231,10 +221,10 @@ def rank_kernel_modp(mat, p):
     """Rank and one deterministic kernel vector over F_p.
 
     ``mat`` is a 2D integer array (copied, not modified) and ``p`` a prime
-    below 2^31, the bound on which the exactness of the float64 block
-    products rests.  Returns (rank, kernel) with kernel an int64 array, or
-    None at full column rank.  The kernel vector sets the first free
-    column to 1 and all other free columns to 0, so it is unique.
+    below _PRIME_BOUND, the bound on which the exactness of the float64
+    block products rests.  Returns (rank, kernel) with kernel an int64
+    array, or None at full column rank.  The kernel vector sets the first
+    free column to 1 and all other free columns to 0, so it is unique.
 
     Forward elimination is blocked on two levels, panels of _PANEL
     columns split into sub-panels of _SUB.  Each sub-panel is eliminated
@@ -244,17 +234,15 @@ def rank_kernel_modp(mat, p):
     of the panel, and after the panel the trailing columns, then get two
     float64 BLAS products, ``X = L_top^-1 @ T_top`` and
     ``T_bot -= L_bot @ X``, where L holds the block's multipliers.  Their
-    inner dimension is the block's pivot count, at most _PANEL, and they
-    run on 16-bit limbs of the right operand: every partial sum is below
-    64 * (p - 1) * (2^16 - 1) < 2^53, so it is exact, and the update is
-    reduced in int64.  The arithmetic is that of one unblocked elimination in another
-    order, so the pivots, the multipliers and the result do not depend on
-    the block sizes.  The pivot columns are the column rank profile of
-    ``mat``; back-substitution runs over the pivots left of the first
-    free column only.
+    inner dimension is the block's pivot count, at most _PANEL, so each is
+    exact, and the update is reduced in int64.  The arithmetic is that of
+    one unblocked elimination in another order, so the pivots, the
+    multipliers and the result do not depend on the block sizes.  The
+    pivot columns are the column rank profile of ``mat``; back-substitution
+    runs over the pivots left of the first free column only.
     """
     if not 2 <= p < _PRIME_BOUND:
-        raise ValueError(f"modulus {p} is outside [2, 2^31)")
+        raise ValueError(f"modulus {p} is outside [2, {_PRIME_BOUND})")
     M = np.array(mat, dtype=np.int64) % p
     ncols = M.shape[1]
     pivots, inverses = [], []

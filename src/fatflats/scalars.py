@@ -1,5 +1,5 @@
 """Exact scalars: arbitrary-precision rationals and the mod-p lane's two
-fixed 31-bit prime fields.
+fixed prime fields, of primes below 2^23.
 
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
 denominator).  Prime-field elements are ints in ``[0, p)`` with the prime
@@ -11,10 +11,11 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-# The search's two 31-bit primes: the first searches, the second confirms
-# each kernel it finds.  A k that a star product closes needs neither to
-# confirm it (see interpolation.alpha_table).
-DEFAULT_PRIMES = (2147483647, 2147483629)
+# The search's two primes, the largest below linalg._PRIME_BOUND = 2^23:
+# the first searches, the second confirms each kernel it finds.  A k that
+# a star product closes needs neither to confirm it (see
+# interpolation.alpha_table).
+DEFAULT_PRIMES = (8388593, 8388587)
 
 
 def parse_scalar(value) -> Fraction:

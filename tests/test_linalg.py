@@ -6,6 +6,7 @@ import pytest
 
 from fatflats.linalg import (
     _PANEL,
+    _PRIME_BOUND,
     _matmul_modp,
     bareiss_echelon,
     invert_matrix,
@@ -16,8 +17,8 @@ from fatflats.linalg import (
 )
 from fatflats.scalars import DEFAULT_PRIMES
 
-# Smallest prime the field-prime check accepts (2^30 + 3).
-SMALL_FIELD_PRIME = 1073741827
+# A field prime well below the default ones (the largest below 2^22).
+SMALL_FIELD_PRIME = 4194301
 
 
 def _reference_gauss_jordan(mat, p):
@@ -253,8 +254,9 @@ def test_rank_kernel_modp_agrees_with_rational():
         rank_q, _ = rank_kernel_rational(rows)
         mat = np.array(rows, dtype=np.int64)
         rank_p, kernel = rank_kernel_modp(mat, p)
-        # Small integer matrices: rank mod a 31-bit prime equals the
-        # rational rank unless a minor is divisible by p, impossible here.
+        # Small integer matrices: by Hadamard every minor is at most
+        # (5 * 6^(1/2))^6 < 2^22 < p in absolute value, so rank mod p
+        # equals the rational rank.
         assert rank_p == rank_q
         if kernel is not None:
             assert (mat % p @ kernel % p == 0).all()
@@ -347,8 +349,11 @@ def test_rank_kernel_modp_dependent_column_kernel():
 
 @pytest.mark.parametrize("p", [*DEFAULT_PRIMES, SMALL_FIELD_PRIME])
 def test_block_product_exact_near_the_bound(p):
-    # Entries from the top of [0, p) bring the partial sums of a
-    # _PANEL-term product close to 2^53; with 96 terms they round.
+    # DEFAULT_PRIMES[0] is the largest prime below _PRIME_BOUND (see
+    # test_scalars).  Entries from the top of [0, p) bring the partial
+    # sums of a _PANEL-term product close to _PANEL * p^2 < 2^52; below
+    # the bound even twice as many terms stay below 2^53 and cannot round.
+    assert _PANEL * (_PRIME_BOUND - 1) ** 2 < 2 ** 53
     rng = np.random.default_rng(53)
     a = rng.integers(p - (1 << 15), p, size=(40, _PANEL), dtype=np.int64)
     b = rng.integers(p - (1 << 15), p, size=(_PANEL, 30), dtype=np.int64)
@@ -356,7 +361,7 @@ def test_block_product_exact_near_the_bound(p):
     assert (_matmul_modp(a.astype(np.float64), b, p) == exact).all()
 
 
-@pytest.mark.parametrize("p", [1, 1 << 31])
+@pytest.mark.parametrize("p", [1, _PRIME_BOUND, 1 << 31])
 def test_rank_kernel_modp_rejects_modulus_out_of_range(p):
     with pytest.raises(ValueError):
         rank_kernel_modp(np.eye(2, dtype=np.int64), p)

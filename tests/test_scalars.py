@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fatflats.errors import ValidationError
+from fatflats.linalg import _PRIME_BOUND
 from fatflats.scalars import DEFAULT_PRIMES, encode_scalar, parse_scalar
 
 
@@ -30,11 +31,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def test_default_primes_are_distinct_31_bit_primes():
+def test_default_primes_are_distinct_primes_below_the_bound():
     p1, p2 = DEFAULT_PRIMES
     assert p1 != p2
     for p in (p1, p2):
-        assert 1 << 30 <= p < 1 << 31 and is_prime(p)
+        assert 1 << 22 <= p < _PRIME_BOUND and is_prime(p)
+    # The first is the largest prime the kernel accepts.
+    assert not any(is_prime(n) for n in range(p1 + 1, _PRIME_BOUND))
 
 
 @pytest.mark.parametrize("n,expected", [
