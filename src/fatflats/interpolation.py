@@ -11,20 +11,22 @@ lane its conditions are its Hasse derivatives of order
 min(kappa, d + 1) - 1, whose entries are integers in closed form at any
 degree (see :func:`_hasse_rows`).
 
-One degree search, over a table of k, serves two lanes that share nothing
-but the pivot discipline: numpy int64 over F_p (default; one prime
-searches, a second confirms only the kernel degrees, and a k re-runs over
-Q only when it refutes its degree) and Fraction/Bareiss over Q.  Each k
-starts past the previous answer and only scans upward, so one set of
-tables per prime serves every k, each table built once.  On a scheme
-with a star, a product of the star's hyperplanes in I^(k), proved by
-counting its orders, bounds the scan from above: when every degree below
-it has full rank, the product is the answer's rational witness, and no
-second prime runs.  Each F_p condition matrix reduces an integer matrix
-whose rows span the same space over Q as the Fraction conditions: the
-flats' tables expand through an integral coordinate change, and the
-points' rows are integral Hasse rows.  Its rank mod p is at most its
-rank over Q, so full column rank mod p proves the lower bound.
+One degree search, over a table of k, serves two lanes that share the
+pivot discipline and the expansion of one integral coordinate change:
+int64 over F_p (default; one prime searches, a second confirms only the
+kernel degrees, and a k re-runs over Q only when it refutes its degree)
+and Python ints with Bareiss over Q.  Each k starts past the previous
+answer and only scans upward, so one set of tables per prime serves
+every k, each table built once.  On a scheme with a star, a product of
+the star's hyperplanes in I^(k), proved by counting its orders, bounds
+the scan from above: when every degree below it has full rank, the
+product is the answer's rational witness, and no second prime runs.
+Each F_p condition matrix reduces an integer matrix whose rows span the
+same space over Q as the adapted conditions: the flats' tables expand
+through an integral coordinate change, and the points' rows are integral
+Hasse rows.  Its rank mod p is at most its rank over Q, so full column
+rank mod p proves the lower bound.  A form is integer numerators over
+one denominator: membership is exact.
 """
 
 from dataclasses import dataclass
@@ -195,8 +197,13 @@ def _pascal_table(d: int, r: int, p: int):
     return pascal, np.maximum(a - b, 0)
 
 
-class _NewestDegree:
-    """Keeps the newest degree only; a request below it raises ValueError."""
+class _ExpansionTables:
+    """Expansion tables through a subspace's ``_integral_change`` ``B``,
+    in int64 mod ``self.p``, or in Python ints (object arrays) when p is
+    None: ``table(d)[i, j]`` is the coefficient of the j-th adapted
+    monomial in the expansion of the i-th original degree-d monomial;
+    only the newest d is kept, and a lower d raises ValueError.  Each lane
+    names ``_build_next`` and ``block`` in its class body, for tracing."""
 
     def table(self, d: int):
         if d < self._degree:
@@ -205,12 +212,33 @@ class _NewestDegree:
             self._build_next()
         return self._table
 
+    def _build_next(self):
+        """One degree up: a degree-d monomial is x_j times its parent,
+        j its first variable, and x_j = sum_k B[j][k] w_k, so its row is
+        the sum over k of the parent's row shifted by w_k, times B[j][k]."""
+        d, prev, nv, p = self._degree + 1, self._table, self.nvars, self.p
+        n_d = len(monomial_basis(nv, d))
+        T = np.zeros((n_d, n_d), dtype=prev.dtype)
+        for j, rows, parents in _parent_groups(nv, d):
+            src = prev[parents]
+            acc = np.zeros((len(rows), n_d), dtype=prev.dtype)
+            for k, c in enumerate(self.B[j]):
+                if c:
+                    # Mod p: at most N + 1 terms, each below p^2 < 2^46.
+                    acc[:, _shift_map(nv, d - 1, k)] += c * src
+            T[rows] = acc if p is None else acc % p
+        self._degree, self._table = d, T
 
-class AdaptedTablesModP(_NewestDegree):
+    def expanded_block(self, d: int, kappa: int):
+        """Condition rows annihilating exactly the degree-d part of
+        I^kappa, read off the expansion table; valid for every subspace."""
+        sel = _selected_betas(self.nvars, d, self.e, kappa)
+        return np.ascontiguousarray(self.table(d)[:, sel].T)
+
+
+class AdaptedTablesModP(_ExpansionTables):
     """Per-subspace condition rows mod p.  A flat reads them off its
-    expansion tables: ``table(d)[i, j]`` is the coefficient of the j-th
-    adapted monomial in the expansion of the i-th original degree-d
-    monomial.  A point builds no table: ``block`` returns its
+    expansion tables.  A point builds no table: ``block`` returns its
     :func:`_hasse_rows`, which reduce an integer matrix with the row space
     over Q of the adapted conditions, so full column rank mod p still
     proves the lower bound, and the witness, the second prime and
@@ -228,25 +256,9 @@ class AdaptedTablesModP(_NewestDegree):
     def B(self):
         """``_integral_change`` mod p, made on the first table degree, so a
         point, whose rows are in closed form, never makes it."""
-        return np.array([[x % self.p for x in row]
-                         for row in _integral_change(self.sub)],
-                        dtype=np.int64)
+        return [[x % self.p for x in row] for row in _integral_change(self.sub)]
 
-    def _build_next(self):
-        d, prev = self._degree + 1, self._table
-        nv, p = self.nvars, self.p
-        n_d = len(monomial_basis(nv, d))
-        T = np.zeros((n_d, n_d), dtype=np.int64)
-        for j, rows, parents in _parent_groups(nv, d):
-            src = prev[parents]
-            acc = np.zeros((len(rows), n_d), dtype=np.int64)
-            for k in range(nv):
-                c = int(self.B[j, k])
-                if c:
-                    # At most N + 1 terms, each below p^2 < 2^46.
-                    acc[:, _shift_map(nv, d - 1, k)] += c * src
-            T[rows] = acc % p
-        self._degree, self._table = d, T
+    _build_next = _ExpansionTables._build_next
 
     def block(self, d: int, kappa: int):
         """Condition rows annihilating exactly the degree-d part of I^kappa."""
@@ -254,96 +266,92 @@ class AdaptedTablesModP(_NewestDegree):
             return _hasse_rows(self.point, d, kappa, self.p)
         return self.expanded_block(d, kappa)
 
-    def expanded_block(self, d: int, kappa: int):
-        """The rows of ``block`` read off the expansion table; valid for
-        every subspace, used for flats."""
-        sel = _selected_betas(self.nvars, d, self.e, kappa)
-        return np.ascontiguousarray(self.table(d)[:, sel].T)
 
-
-class AdaptedTablesQQ(_NewestDegree):
-    """Rational twin of :class:`AdaptedTablesModP` (sparse dicts)."""
+class AdaptedTablesQQ(_ExpansionTables):
+    """Per-subspace condition rows over Q, as integer rows: the expansion
+    of :class:`AdaptedTablesModP` in Python ints, for points too."""
 
     def __init__(self, sub: Subspace):
+        self.p, self.B = None, _integral_change(sub)  # no prime: Python ints
         self.nvars = sub.ambient_dim + 1
         self.e = sub.codim
-        self.B = [list(row) for row in complete_basis(sub).inverse]
-        zero = (0,) * self.nvars
-        self._degree, self._table = 0, {zero: {zero: Fraction(1)}}
+        self._degree, self._table = 0, np.ones((1, 1), dtype=object)
 
-    def _build_next(self):
-        d, prev = self._degree + 1, self._table
-        nv = self.nvars
-        out = {}
-        for m in monomial_basis(nv, d):
-            j = next(v for v, exp in enumerate(m) if exp)
-            parent = m[:j] + (m[j] - 1,) + m[j + 1:]
-            src = prev[parent]
-            poly = {}
-            for k in range(nv):
-                c = self.B[j][k]
-                if c == 0:
-                    continue
-                for beta, coeff in src.items():
-                    bumped = beta[:k] + (beta[k] + 1,) + beta[k + 1:]
-                    val = poly.get(bumped, Fraction(0)) + c * coeff
-                    if val:
-                        poly[bumped] = val
-                    elif bumped in poly:
-                        del poly[bumped]
-            out[m] = poly
-        self._degree, self._table = d, out
-
-    def block(self, d: int, kappa: int):
-        """Condition rows as dense Fraction lists (rows x monomials)."""
-        basis = monomial_basis(self.nvars, d)
-        sel = [basis[i] for i in _selected_betas(self.nvars, d, self.e, kappa)]
-        tab = self.table(d)
-        return [[tab[m].get(beta, Fraction(0)) for m in basis] for beta in sel]
+    _build_next = _ExpansionTables._build_next
+    block = _ExpansionTables.expanded_block
 
 
 # -- forms ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Form:
-    """A homogeneous form as a sparse coefficient dict over the monomial
-    basis.  ``field`` is 'rational' or the prime p of its coefficients."""
+    """A homogeneous form of degree d in N + 1 variables: integer
+    numerators over ``monomial_basis(N + 1, d)``, in that order, and
+    ``denominator``, the lcm of its coefficients' reduced denominators,
+    so equal forms are equal records.  ``field`` is 'rational' or the
+    prime p of its coefficients, residues in [0, p) over denominator 1.
+    ``packed`` holds the numerators, each in as many bytes (little-endian
+    two's complement) as the largest needs, and ``coeffs`` reads them out:
+    a record keeps its dense witness, at a third or less of the memory
+    of a tuple of ints."""
 
     ambient_dim: int
     degree: int
-    coeffs: tuple  # sorted ((exponents, coeff), ...)
+    packed: bytes
+    denominator: int = 1
     field: object = "rational"
 
     @staticmethod
+    def from_values(ambient_dim, degree, values, field="rational"):
+        """The form with coefficients ``values`` over the basis, a kernel
+        vector included: ints or Fractions over Q, ints reduced mod p."""
+        if field != "rational":
+            den, nums = 1, [int(v) % field for v in values]
+        else:
+            den = lcm(*(v.denominator for v in values))
+            nums = [v.numerator * (den // v.denominator) for v in values]
+        width = max(c.bit_length() // 8 + 1 for c in nums)
+        return Form(ambient_dim, degree, b"".join(
+            c.to_bytes(width, "little", signed=True) for c in nums),
+            den, field)
+
+    @staticmethod
     def from_dict(ambient_dim, degree, coeffs, field="rational"):
-        items = tuple(sorted((tuple(k), v) for k, v in coeffs.items() if v))
-        for exps, _ in items:
-            if (len(exps) != ambient_dim + 1 or sum(exps) != degree
-                    or any(e < 0 for e in exps)):
+        """The form with ``coeffs[exponents]`` at those monomials, 0 at the
+        others."""
+        if ambient_dim < 0 or degree < 0:
+            raise ValidationError(
+                f"no form of degree {degree} in {ambient_dim + 1} variables")
+        index = monomial_index(ambient_dim + 1, degree)
+        values = [0] * len(index)
+        for exps, v in coeffs.items():
+            i = index.get(tuple(exps))
+            if i is None:
                 raise ValidationError(
-                    f"exponent tuple {exps} is not a monomial of degree "
-                    f"{degree} in {ambient_dim + 1} variables")
-        return Form(ambient_dim, degree, items, field)
+                    f"exponent tuple {tuple(exps)} is not a monomial of "
+                    f"degree {degree} in {ambient_dim + 1} variables")
+            values[i] = v
+        return Form.from_values(ambient_dim, degree, values, field)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def coeffs(self):
+        """The numerators, a tuple over the basis."""
+        packed, n = self.packed, self.ambient_dim
+        width = len(packed) // comb(self.degree + n, n)
+        return tuple(int.from_bytes(packed[i:i + width], "little", signed=True)
+                     for i in range(0, len(packed), width))
+
+    def terms(self):
+        """The nonzero (exponents, coefficient) pairs, in basis order; a
+        rational coefficient is an int when the denominator is 1."""
+        den = self.denominator
+        for exps, c in zip(monomial_basis(self.ambient_dim + 1, self.degree),
+                           self.coeffs):
+            if c:
+                yield exps, c if den == 1 else Fraction(c, den)
 
     def as_dict(self):
-        return dict(self.coeffs)
-
-    def dense(self):
-        """Coefficient vector over the graded-lex degree-d basis."""
-        idx = monomial_index(self.ambient_dim + 1, self.degree)
-        if self.field == "rational":
-            vec = [Fraction(0)] * len(idx)
-            for exps, c in self.coeffs:
-                vec[idx[exps]] = Fraction(c)
-            return vec
-        vec = np.zeros(len(idx), dtype=np.int64)
-        for exps, c in self.coeffs:
-            vec[idx[exps]] = c % self.field
-        return vec
+        return dict(self.terms())
 
 
 def form_product(factors):
@@ -357,26 +365,23 @@ def form_product(factors):
     n = len(factors[0][0]) - 1
     if any(len(f) != n + 1 for f, _ in factors):
         raise ValidationError("ambient dimension mismatch")
-    product = Form.from_dict(n, 0, {(0,) * (n + 1): 1})
-    units = [tuple(int(i == v) for i in range(n + 1)) for v in range(n + 1)]
+    product = Form.from_values(n, 0, [1])
     for f, k in factors:
-        linear = Form.from_dict(n, 1, dict(zip(units, f)))
+        linear = Form.from_values(n, 1, f)  # the degree-1 basis is x_0..x_n
         for _ in range(k):
             product = multiply_forms(product, linear)
     return product
 
 
 def multiply_forms(f: Form, g: Form) -> Form:
-    """Sparse product of two forms in the same field mode."""
+    """Product of two forms in the same field mode."""
     if f.ambient_dim != g.ambient_dim or f.field != g.field:
         raise ValidationError("form modes differ")
-    out = {}
-    for ea, ca in f.coeffs:
-        for eb, cb in g.coeffs:
+    out, g_terms = {}, list(g.terms())
+    for ea, ca in f.terms():
+        for eb, cb in g_terms:
             key = tuple(a + b for a, b in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
-    if f.field != "rational":
-        out = {k: v % f.field for k, v in out.items()}
     return Form.from_dict(f.ambient_dim, f.degree + g.degree, out, f.field)
 
 
@@ -440,7 +445,8 @@ def _stack_modp(tables, orders, d):
 
 
 def _stack_rational(tables, orders, d):
-    return [row for t, kappa in zip(tables, orders) for row in t.block(d, kappa)]
+    return [row for t, kappa in zip(tables, orders)
+            for row in t.block(d, kappa).tolist()]
 
 
 def _kernel_modp(tables, orders, d):
@@ -601,11 +607,8 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
                 for h, a in zip(scheme.star.hyperplanes, products[record.k]))
             continue
         field = p1 if record.field_mode == "modp" else "rational"
-        basis = monomial_basis(scheme.ambient_dim + 1, d)
-        coeffs = {basis[i]: v if field == "rational" else int(v)
-                  for i, v in enumerate(kernel) if v}
-        record.alpha, record.witness = d, Form.from_dict(
-            scheme.ambient_dim, d, coeffs, field)
+        record.alpha, record.witness = d, Form.from_values(
+            scheme.ambient_dim, d, kernel, field)
     return records
 
 
@@ -623,23 +626,19 @@ def require_alpha(record: AlphaRecord) -> int:
 
 
 def membership(form: Form, scheme: FatFlatScheme, k: int) -> bool:
-    """True iff every order-(k*mu_i) condition annihilates the form."""
+    """True iff every order-(k*mu_i) condition annihilates the form: each
+    integer row times its numerators is 0, exactly over Q, mod p in the
+    F_p lane."""
     if form.ambient_dim != scheme.ambient_dim:
         raise ValidationError("ambient dimension mismatch")
-    if form.is_zero:
+    if not any(form.packed):
         raise ValidationError("the zero form is not a membership witness")
-    comps = symbolic_multiplicities(scheme, k)
-    d = form.degree
-    vec = form.dense()
-    if form.field == "rational":
-        for sub, kappa in comps:
-            for row in AdaptedTablesQQ(sub).block(d, kappa):
-                if sum(r * v for r, v in zip(row, vec) if v) != 0:
-                    return False
-        return True
-    p = form.field
-    for sub, kappa in comps:
-        block = AdaptedTablesModP(sub, p).block(d, kappa)
-        if block.size and (_modp_apply(block, vec, p) != 0).any():
-            return False
-    return True
+    d, p = form.degree, form.field
+    if p == "rational":
+        vec = np.array(form.coeffs, dtype=object)
+        return not any(AdaptedTablesQQ(sub).block(d, kappa).dot(vec).any()
+                       for sub, kappa in symbolic_multiplicities(scheme, k))
+    vec = np.array(form.coeffs, dtype=np.int64)
+    return not any(_modp_apply(AdaptedTablesModP(sub, p).block(d, kappa),
+                               vec, p).any()
+                   for sub, kappa in symbolic_multiplicities(scheme, k))

@@ -103,7 +103,7 @@ def form_to_dict(form: Form) -> dict:
         "ambient_dim": form.ambient_dim,
         "degree": form.degree,
         "coeffs": {",".join(map(str, exps)): encode_scalar(c)
-                   for exps, c in form.coeffs},
+                   for exps, c in form.terms()},
     }
 
 

@@ -135,7 +135,7 @@ def check_star_p3_linear():
 def _proportional(f, g):
     """True iff the forms f and g are nonzero scalar multiples of each
     other: the same monomials, with one coefficient ratio."""
-    fc, gc = dict(f.coeffs), dict(g.coeffs)
+    fc, gc = f.as_dict(), g.as_dict()
     if not fc or fc.keys() != gc.keys():
         return False
     m = next(iter(fc))

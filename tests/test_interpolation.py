@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from fatflats.interpolation import (
     AdaptedTablesModP,
     AdaptedTablesQQ,
     Form,
+    _integral_change,
     alpha_symbolic,
     alpha_table,
     condition_row_count,
@@ -36,6 +37,10 @@ from fatflats.schemes import (
     star_configuration,
 )
 from fatflats.verification import _theorem_a_instance
+
+# Test ids by the prime's role, so a change of the field primes renames no
+# test.
+PRIME_IDS = ("first-prime", "second-prime")
 
 
 # -- an independent oracle: derivative conditions at fat points ---------------
@@ -154,21 +159,26 @@ def test_tables_refuse_backward_requests():
 
 def test_adapted_tables_expand_correctly():
     """x^a expanded into adapted monomials must agree with evaluation:
-    for x = B w, x^a == sum_beta table[a][beta] * w^beta."""
-    sub = Subspace(2, [LinForm([1, 2, 3])])
-    tabs = AdaptedTablesQQ(sub)
+    for x = B w, B = ``_integral_change(sub)``, the integer table gives
+    x^a == sum_beta table[a][beta] * w^beta."""
     rng = random.Random(1)
-    w = [Fraction(rng.randint(1, 9)) for _ in range(3)]
-    x = [sum(Fraction(tabs.B[i][j]) * w[j] for j in range(3)) for i in range(3)]
-    for d in (1, 2, 3):
-        table = tabs.table(d)
-        for mon, poly in table.items():
-            lhs = Fraction(1)
-            for xi, mi in zip(x, mon):
-                lhs *= xi ** mi
-            rhs = sum(c * Fraction(1) *
-                      _monomial_value(w, beta) for beta, c in poly.items())
-            assert lhs == rhs
+    for sub in (Subspace(2, [LinForm([1, 2, 3])]),
+                Subspace(3, [LinForm([2, 3, 5, 7]), LinForm([1, -4, 2, 3])]),
+                point_subspace((3, 2, 5))):
+        nvars = sub.ambient_dim + 1
+        B = _integral_change(sub)
+        tabs = AdaptedTablesQQ(sub)
+        w = [rng.randint(-9, 9) for _ in range(nvars)]
+        x = [sum(B[i][j] * w[j] for j in range(nvars)) for i in range(nvars)]
+        for d in (1, 2, 3):
+            table = tabs.table(d)
+            basis = monomial_basis(nvars, d)
+            assert table.shape == (len(basis), len(basis))
+            assert all(type(c) is int for c in table.flat)
+            for mon, row in zip(basis, table):
+                rhs = sum(c * _monomial_value(w, beta)
+                          for beta, c in zip(basis, row))
+                assert _monomial_value(x, mon) == rhs
 
 
 def _monomial_value(coords, exps):
@@ -179,28 +189,20 @@ def _monomial_value(coords, exps):
 
 
 def test_modp_tables_match_rational_tables():
-    """The mod-p tables expand through the coordinate change with column j
-    scaled by c_j, so entry (m, beta) is the rational entry times
-    prod c_j^beta_j, reduced mod p."""
+    """Both lanes expand the same integral coordinate change, so the mod-p
+    table is the integer table over Q reduced mod p, entry by entry."""
     p = DEFAULT_PRIMES[0]
     line = Subspace(3, [LinForm([2, 3, 5, 7]), LinForm([1, -4, 2, 3])])
-    for sub, scales in ((point_subspace((2, -1, 1)), (1, 1, 1)),
-                        (point_subspace((3, 2, 5)), (1, 1, 5)),
-                        (line, (1, 1, 11, 11))):
+    for sub in (point_subspace((2, -1, 1)), point_subspace((3, 2, 5)),
+                line):
         modp = AdaptedTablesModP(sub, p)
         rational = AdaptedTablesQQ(sub)
-        nvars = sub.ambient_dim + 1
         for d in (1, 2, 3):
             table_p = modp.table(d)
             table_q = rational.table(d)
-            basis = monomial_basis(nvars, d)
-            for i, mon in enumerate(basis):
-                for j, beta in enumerate(basis):
-                    c = table_q[mon].get(beta, Fraction(0))
-                    for scale, b in zip(scales, beta):
-                        c *= scale ** b
-                    expected = c.numerator * pow(c.denominator, -1, p) % p
-                    assert table_p[i, j] == expected
+            assert table_p.shape == table_q.shape
+            for entry_p, entry_q in zip(table_p.flat, table_q.flat):
+                assert entry_p == entry_q % p
 
 
 def _seeded_points():
@@ -220,7 +222,7 @@ def _seeded_points():
     return out
 
 
-@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+@pytest.mark.parametrize("p", DEFAULT_PRIMES, ids=PRIME_IDS)
 def test_hasse_rows_match_expansion_tables(p):
     """A point's closed-form Hasse rows and the rows read off its expansion
     table (built by ``_build_next``) have the same row space mod p, so the
@@ -247,7 +249,7 @@ def test_hasse_rows_match_expansion_tables(p):
         assert tables._degree == 4
 
 
-@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+@pytest.mark.parametrize("p", DEFAULT_PRIMES, ids=PRIME_IDS)
 def test_modp_membership_at_points(p):
     """On Hasse rows, a power of a linear form through the point is in
     I^kappa and a nonzero form of degree < kappa is not."""
@@ -260,7 +262,7 @@ def test_modp_membership_at_points(p):
             power = form_product([(sub.forms[0], kappa)])
             member = Form.from_dict(n, kappa, {
                 m: c.numerator * pow(c.denominator, -1, p) % p
-                for m, c in power.coeffs}, field=p)
+                for m, c in power.terms()}, field=p)
             assert membership(member, scheme, 1)
             for d in range(kappa):
                 low = Form.from_dict(n, d, {
@@ -280,7 +282,7 @@ def test_form_product_evaluates_correctly():
     for _ in range(5):
         pt = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
         direct = f1.evaluate(pt) ** 2 * f2.evaluate(pt)
-        expanded = sum(c * _monomial_value(pt, e) for e, c in form.coeffs)
+        expanded = sum(c * _monomial_value(pt, e) for e, c in form.terms())
         assert direct == expanded
 
 
@@ -289,8 +291,25 @@ def test_form_from_dict_validation():
         Form.from_dict(2, 2, {(1, 0, 0): 1})  # degree mismatch
     with pytest.raises(ValidationError):
         Form.from_dict(2, 1, {(1, 0): 1})  # wrong arity
+    with pytest.raises(ValidationError):
+        Form.from_dict(2, 2, {(3, -1, 0): 1})  # negative exponent
+    for n, d in ((-1, 0), (2, -1)):
+        with pytest.raises(ValidationError):
+            Form.from_dict(n, d, {})  # no monomial basis
     form = Form.from_dict(2, 1, {(1, 0, 0): 1, (0, 1, 0): 0})
-    assert form.coeffs == (((1, 0, 0), 1),)  # zero coefficients dropped
+    assert list(form.terms()) == [((1, 0, 0), 1)]  # zero coefficients dropped
+    assert form.as_dict() == {(1, 0, 0): 1}
+    # Numerators over one denominator, the lcm of the reduced ones: the
+    # same form from Fractions and from integers over that denominator.
+    half = Form.from_dict(2, 1, {(1, 0, 0): Fraction(1, 2),
+                                 (0, 0, 1): Fraction(-2, 3)})
+    assert half.coeffs == (3, 0, -4) and half.denominator == 6
+    assert half == Form.from_values(2, 1, [Fraction(c, 6) for c in (3, 0, -4)])
+    assert half.as_dict() == {(1, 0, 0): Fraction(1, 2),
+                              (0, 0, 1): Fraction(-2, 3)}
+    # The packed numerators read back exactly across byte boundaries.
+    for values in ([127, -128, 0], [128, -129, 1], [2 ** 100, -(2 ** 63), 5]):
+        assert Form.from_values(2, 1, values).coeffs == tuple(values)
 
 
 def test_multiply_forms_checks_modes():
@@ -346,6 +365,19 @@ def test_membership_detects_nonmembers(star25):
     product = form_product([(h, 1) for h in star.hyperplanes])
     assert membership(product, scheme, 2)
     assert not membership(product, scheme, 3)
+    # So is a third of its primitive integer multiple, a form over the
+    # denominator 3; moving one of its coefficients by 1/7 leaves I^(2).
+    content = gcd(*product.coeffs)
+    terms = {m: Fraction(c // content, 3)
+             for m, c in Form.from_values(2, 5, product.coeffs).terms()}
+    third = Form.from_dict(2, 5, terms)
+    assert third.denominator == 3
+    assert membership(third, scheme, 2)
+    assert not membership(third, scheme, 3)
+    m = next(iter(terms))
+    moved = Form.from_dict(2, 5, {**terms, m: terms[m] + Fraction(1, 7)})
+    assert moved.denominator % 21 == 0
+    assert not membership(moved, scheme, 2)
 
 
 def test_membership_input_validation(star25):
@@ -353,7 +385,7 @@ def test_membership_input_validation(star25):
     form = form_product([(LinForm([1, 0, 0, 0]), 1)])
     with pytest.raises(ValidationError):
         membership(form, scheme, 1)  # ambient mismatch
-    zero = Form(2, 1, ())
+    zero = Form.from_dict(2, 1, {})
     with pytest.raises(ValidationError):
         membership(zero, scheme, 1)
 
@@ -397,7 +429,7 @@ def test_bad_prime_replacement():
     assert record.witness.as_dict() == {(0, 1, 0): 1}
 
 
-@pytest.mark.parametrize("q", DEFAULT_PRIMES)
+@pytest.mark.parametrize("q", DEFAULT_PRIMES, ids=PRIME_IDS)
 def test_second_prime_confirms_or_escalates(q, monkeypatch):
     # (0, q, 1) reduces to (0, 0, 1) mod q, so mod q a line passes through
     # the three points; over Q they are not collinear and alpha is 2.
@@ -560,14 +592,13 @@ def test_the_star_floor_proves_the_answer(search_log):
     (record,) = alpha_table(scheme, [4])
     assert record.alpha == 10 and record.primes is None
     assert eliminated == []
-    coeffs = [c for _, c in record.witness.coeffs]
-    assert all(type(c) is int for c in coeffs)
+    assert record.witness.denominator == 1
 
 
 _PRODUCT_SCHEMES = {
-    # name: (scheme, largest k mod p, largest k over Q).  Exact membership
-    # runs through the Fraction tables (slow at high degree), so the doubled
-    # schemes stop earlier.
+    # name: (scheme, largest k mod p, largest k over Q).  The starless
+    # search over Q eliminates by Bareiss at each degree it scans (slow at
+    # high degree), so the doubled schemes stop earlier.
     "S_2(2,4)": (star_configuration(2, 2, 4, seed=1), 4, 2),
     "S_2(2,5)": (star_configuration(2, 2, 5, seed=1), 4, 2),
     "S_2(2,6)": (star_configuration(2, 2, 6, seed=1), 4, 2),
@@ -598,11 +629,11 @@ def test_star_product_is_sound_and_tight(name):
             assert r.primes is None and not r.escalated
             assert r.field_mode == mode and r.witness.field == "rational"
             assert r.witness.degree == r.alpha
-            assert all(type(c) is int for _, c in r.witness.coeffs)
+            assert r.witness.denominator == 1
     for modp, rational in zip(tables["modp"], tables["rational"]):
         assert modp.witness == rational.witness
         assert membership(rational.witness, scheme, rational.k)
-@pytest.mark.parametrize("q", DEFAULT_PRIMES)
+@pytest.mark.parametrize("q", DEFAULT_PRIMES, ids=PRIME_IDS)
 def test_alpha_table_matches_one_k_searches(q):
     """The table gives each k the record of its own search from max(orders),
     also when the second prime refutes every answer (q = p1: the points are

@@ -19,6 +19,8 @@ from fatflats.scalars import DEFAULT_PRIMES
 
 # A field prime well below the default ones (the largest below 2^22).
 SMALL_FIELD_PRIME = 4194301
+# Test ids by the prime's role, so a change of the primes renames no test.
+FIELD_PRIME_IDS = ("first-prime", "second-prime", "small-field-prime")
 
 
 def _reference_gauss_jordan(mat, p):
@@ -322,7 +324,8 @@ def _blocked_cases(p):
     }
 
 
-@pytest.mark.parametrize("p", [*DEFAULT_PRIMES, SMALL_FIELD_PRIME])
+@pytest.mark.parametrize("p", [*DEFAULT_PRIMES, SMALL_FIELD_PRIME],
+                         ids=FIELD_PRIME_IDS)
 def test_rank_kernel_modp_matches_reference(p):
     for name, mat in _blocked_cases(p).items():
         rank, kernel = rank_kernel_modp(mat, p)
@@ -347,7 +350,8 @@ def test_rank_kernel_modp_dependent_column_kernel():
     assert (kernel == expected).all()
 
 
-@pytest.mark.parametrize("p", [*DEFAULT_PRIMES, SMALL_FIELD_PRIME])
+@pytest.mark.parametrize("p", [*DEFAULT_PRIMES, SMALL_FIELD_PRIME],
+                         ids=FIELD_PRIME_IDS)
 def test_block_product_exact_near_the_bound(p):
     # DEFAULT_PRIMES[0] is the largest prime below _PRIME_BOUND (see
     # test_scalars).  Entries from the top of [0, p) bring the partial

@@ -116,6 +116,13 @@ def test_form_roundtrip():
     form = form_product([(LinForm([1, 2, 3]), 2), (LinForm([0, 1, -1]), 1)])
     data = json.loads(dump_json(form_to_dict(form)))
     assert form_from_dict(data) == form
+    # Non-integral coefficients: numerators over the denominator 6.
+    form = form_product([((Fraction(1, 2), 1, 0), 1),
+                         ((0, Fraction(-1, 3), 1), 1)])
+    assert form.denominator == 6
+    data = json.loads(dump_json(form_to_dict(form)))
+    assert data["coeffs"]["1,1,0"] == "-1/6"
+    assert form_from_dict(data) == form
 
 
 def test_modp_forms_are_not_serialized(star25):
