@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .bounds import (  # noqa: F401
     BoundReport,
     LowerBound,
-    beta_sequence,
     check_linear_alpha,
     closed_form_star,
     monotone_lower,

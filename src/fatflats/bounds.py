@@ -55,7 +55,7 @@ def upper_bounds(scheme: FatFlatScheme, k_max: int, mode: str = "modp",
 
     Cap-exceeded entries stay in the table flagged unresolved; they never
     contribute a fabricated value.  One search per k, not one alpha_table:
-    perfbench times each k's ``alpha_symbolic`` (ROADMAP item 2).
+    perfbench times each k's ``alpha_symbolic`` (ROADMAP item 1).
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
@@ -102,16 +102,6 @@ def check_linear_alpha(scheme: FatFlatScheme, t: int, k_max: int):
         if require_alpha(alpha_symbolic(scheme, k)) != t * k:
             return False, k
     return True, None
-
-
-def beta_sequence(table):
-    """First differences alpha(I^(k+1)) - alpha(I^(k)) of a contiguous table."""
-    records = sorted(table, key=lambda r: r.k)
-    ks = [r.k for r in records]
-    if ks != list(range(ks[0], ks[0] + len(ks))):
-        raise ValidationError("alpha table has gaps in k")
-    values = [require_alpha(r) for r in records]
-    return [b - a for a, b in zip(values, values[1:])]
 
 
 def is_subscheme(small: FatPointsP2, big: FatPointsP2) -> bool:

@@ -6,27 +6,27 @@ with degree < kappa in the first e adapted variables has coefficient
 zero.  Each original monomial is expanded in adapted coordinates by
 multinomial expansion; the expansions are built incrementally (degree by
 degree, one linear multiplication each), which is what keeps the search
-over candidate degrees cheap.  A point needs no expansion: in the F_p
-lane its conditions are its Hasse derivatives of order
-min(kappa, d + 1) - 1, whose entries are integers in closed form at any
-degree (see :func:`_hasse_rows`).
+over candidate degrees cheap.  A point needs no expansion: in both lanes
+its conditions are its Hasse derivatives of order min(kappa, d + 1) - 1,
+whose entries are integers in closed form at any degree (see
+:func:`_hasse_rows`).
 
 One degree search, over a table of k, serves two lanes that share the
-pivot discipline and the expansion of one integral coordinate change:
-int64 over F_p (default; one prime searches, a second confirms only the
-kernel degrees, and a k re-runs over Q only when it refutes its degree)
-and Python ints with Bareiss over Q.  Each k starts past the previous
-answer and only scans upward, so one set of tables per prime serves
-every k, each table built once.  On a scheme with a star, a product of
-the star's hyperplanes in I^(k), proved by counting its orders, bounds
-the scan from above: when every degree below it has full rank, the
-product is the answer's rational witness, and no second prime runs.
-Each F_p condition matrix reduces an integer matrix whose rows span the
-same space over Q as the adapted conditions: the flats' tables expand
-through an integral coordinate change, and the points' rows are integral
-Hasse rows.  Its rank mod p is at most its rank over Q, so full column
-rank mod p proves the lower bound.  A form is integer numerators over
-one denominator: membership is exact.
+pivot discipline and one row path per component kind: a flat expands
+one integral coordinate change, a point takes integral Hasse rows.
+They run in int64 over F_p (default; one prime searches, a second
+confirms only the kernel degrees, and a k re-runs over Q only when it
+refutes its degree) and in Python ints with Bareiss over Q.  Each k
+starts past the previous answer and only scans upward, so one set of
+tables per prime serves every k, each table built once.  On a scheme
+with a star, a product of the star's hyperplanes in I^(k), proved by
+counting its orders, bounds the scan from above: when every degree below
+it has full rank, the product is the answer's rational witness, and no
+second prime runs.  Each F_p condition matrix reduces an integer matrix
+whose rows span the same space over Q as the adapted conditions, the
+matrix the Q lane eliminates.  Its rank mod p is at most its rank over
+Q, so full column rank mod p proves the lower bound.  A form is integer
+numerators over one denominator: membership is exact.
 """
 
 from dataclasses import dataclass
@@ -128,6 +128,11 @@ def _integral_change(sub: Subspace):
     return [[int(x * c) for x, c in zip(row, scales)] for row in inverse]
 
 
+def _mod(x, p):
+    """x mod p, or x itself when there is no prime (Python ints over Q)."""
+    return x if p is None else x % p
+
+
 # -- points: Hasse rows in closed form -----------------------------------------
 
 @lru_cache(maxsize=None)
@@ -149,9 +154,10 @@ def _primitive_point(sub: Subspace):
     return _primitive(sub.basis[0])
 
 
-def _hasse_rows(point, d: int, kappa: int, p: int):
-    """Order-r Hasse derivatives at ``point`` of the degree-d monomials
-    mod p, r = min(kappa, d + 1) - 1: row beta (|beta| = r) and column m
+def _hasse_rows(point, d: int, kappa: int, p):
+    """Order-r Hasse derivatives at ``point`` of the degree-d monomials,
+    r = min(kappa, d + 1) - 1, mod p, or in Python ints (object arrays)
+    when p is None: row beta (|beta| = r) and column m
     (``monomial_basis(N+1, d)``) hold prod C(m_i, beta_i) P_i^(m_i - beta_i),
     0 when some beta_i > m_i.
 
@@ -164,46 +170,71 @@ def _hasse_rows(point, d: int, kappa: int, p: int):
     degree < kappa vanishes to order kappa.  A fat point imposes
     independent conditions in degree d >= kappa - 1, so there are
     C(r + N, N) = ``condition_row_count(N, kappa, d, N)`` rows, as many
-    as the adapted conditions.  The rows are the reduction mod p of an
-    integer matrix (P is integral), so full column rank mod p proves full
-    column rank over Q.
+    as the adapted conditions, and the expanded rows of
+    :meth:`_ExpansionTables.expanded_block` span the same space over Q:
+    the two have one null space, one RREF and one normalised kernel.  The
+    rows mod p reduce the integer rows (P is integral), so full column
+    rank mod p proves full column rank over Q.
 
     One gather per variable from the (d+1) x (r+1) table
-    C(a, b) P_i^(a - b) mod p, the Pascal table times the powers of
-    P_i mod p; each product of two residues < p < 2^23 is below 2^46 and
-    is reduced at once."""
+    C(a, b) P_i^(a - b), the Pascal table times the powers of P_i; mod p
+    each product of two residues < p < 2^23 is below 2^46 and is reduced
+    at once."""
     r = min(kappa, d + 1) - 1
     cols, rows = _exponents(len(point), d), _exponents(len(point), r)
     pascal, shift = _pascal_table(d, r, p)
     out = None
     for i, x in enumerate(point):
-        x, powers = x % p, [1]
+        x, powers = _mod(x, p), [1]
         for _ in range(d):
-            powers.append(powers[-1] * x % p)
-        table = pascal * np.array(powers, dtype=np.int64)[shift] % p
+            powers.append(_mod(powers[-1] * x, p))
+        table = _mod(pascal * np.array(powers, dtype=pascal.dtype)[shift], p)
         factor = table.T[rows[:, i]][:, cols[:, i]]
-        out = factor if out is None else out * factor % p
+        out = factor if out is None else _mod(out * factor, p)
     return out
 
 
 @lru_cache(maxsize=None)
-def _pascal_table(d: int, r: int, p: int):
-    """C(a, b) mod p for a <= d, b <= r (0 above the diagonal), and the
-    exponents max(a - b, 0) of the matching powers, as (d+1) x (r+1)
-    int64 arrays."""
+def _pascal_table(d: int, r: int, p):
+    """C(a, b) mod p (int64), or C(a, b) (Python ints) when p is None, for
+    a <= d, b <= r (0 above the diagonal), and the int64 exponents
+    max(a - b, 0) of the matching powers, as (d+1) x (r+1) arrays."""
     a, b = np.ogrid[:d + 1, :r + 1]
-    pascal = np.array([[comb(i, j) % p for j in range(r + 1)]
-                       for i in range(d + 1)], dtype=np.int64)
+    pascal = np.array([[_mod(comb(i, j), p) for j in range(r + 1)]
+                       for i in range(d + 1)],
+                      dtype=object if p is None else np.int64)
     return pascal, np.maximum(a - b, 0)
 
 
 class _ExpansionTables:
-    """Expansion tables through a subspace's ``_integral_change`` ``B``,
-    in int64 mod ``self.p``, or in Python ints (object arrays) when p is
-    None: ``table(d)[i, j]`` is the coefficient of the j-th adapted
+    """Per-subspace condition rows, in int64 mod ``self.p``, or in Python
+    ints (object arrays) when p is None.  A point's rows are its
+    :func:`_hasse_rows`, in closed form, and it builds no table.  A flat
+    reads its rows off expansion tables through its ``_integral_change``
+    ``B``: ``table(d)[i, j]`` is the coefficient of the j-th adapted
     monomial in the expansion of the i-th original degree-d monomial;
-    only the newest d is kept, and a lower d raises ValueError.  Each lane
-    names ``_build_next`` and ``block`` in its class body, for tracing."""
+    only the newest d is kept, and a lower d raises ValueError.  Either
+    way the rows reduce one integer matrix with the row space over Q of
+    the adapted conditions, so full column rank mod p proves the lower
+    bound, and the witness, the second prime and :func:`membership` all
+    read the same rows.  Each lane names ``__init__``, ``_build_next``
+    and ``block`` in its class body, for tracing."""
+
+    def __init__(self, sub: Subspace, p):
+        self.p = p
+        self.sub = sub
+        self.nvars = sub.ambient_dim + 1
+        self.e = sub.codim
+        self.point = _primitive_point(sub) if sub.is_point else None
+        self._degree, self._table = 0, np.ones(
+            (1, 1), dtype=object if p is None else np.int64)
+
+    @cached_property
+    def B(self):
+        """``_integral_change``, mod p when there is a prime, made on the
+        first table degree, so a point never makes it."""
+        return [[_mod(x, self.p) for x in row]
+                for row in _integral_change(self.sub)]
 
     def table(self, d: int):
         if d < self._degree:
@@ -226,7 +257,7 @@ class _ExpansionTables:
                 if c:
                     # Mod p: at most N + 1 terms, each below p^2 < 2^46.
                     acc[:, _shift_map(nv, d - 1, k)] += c * src
-            T[rows] = acc if p is None else acc % p
+            T[rows] = _mod(acc, p)
         self._degree, self._table = d, T
 
     def expanded_block(self, d: int, kappa: int):
@@ -235,31 +266,6 @@ class _ExpansionTables:
         sel = _selected_betas(self.nvars, d, self.e, kappa)
         return np.ascontiguousarray(self.table(d)[:, sel].T)
 
-
-class AdaptedTablesModP(_ExpansionTables):
-    """Per-subspace condition rows mod p.  A flat reads them off its
-    expansion tables.  A point builds no table: ``block`` returns its
-    :func:`_hasse_rows`, which reduce an integer matrix with the row space
-    over Q of the adapted conditions, so full column rank mod p still
-    proves the lower bound, and the witness, the second prime and
-    :func:`membership` all read the same rows."""
-
-    def __init__(self, sub: Subspace, p: int):
-        self.p = p
-        self.sub = sub
-        self.nvars = sub.ambient_dim + 1
-        self.e = sub.codim
-        self.point = _primitive_point(sub) if sub.is_point else None
-        self._degree, self._table = 0, np.ones((1, 1), dtype=np.int64)
-
-    @cached_property
-    def B(self):
-        """``_integral_change`` mod p, made on the first table degree, so a
-        point, whose rows are in closed form, never makes it."""
-        return [[x % self.p for x in row] for row in _integral_change(self.sub)]
-
-    _build_next = _ExpansionTables._build_next
-
     def block(self, d: int, kappa: int):
         """Condition rows annihilating exactly the degree-d part of I^kappa."""
         if self.point is not None:
@@ -267,18 +273,23 @@ class AdaptedTablesModP(_ExpansionTables):
         return self.expanded_block(d, kappa)
 
 
+class AdaptedTablesModP(_ExpansionTables):
+    """Per-subspace condition rows mod p, a prime below 2^23."""
+
+    __init__ = _ExpansionTables.__init__
+    _build_next = _ExpansionTables._build_next
+    block = _ExpansionTables.block
+
+
 class AdaptedTablesQQ(_ExpansionTables):
-    """Per-subspace condition rows over Q, as integer rows: the expansion
-    of :class:`AdaptedTablesModP` in Python ints, for points too."""
+    """Per-subspace condition rows over Q, as integer rows: those of
+    :class:`AdaptedTablesModP` before the reduction mod p."""
 
     def __init__(self, sub: Subspace):
-        self.p, self.B = None, _integral_change(sub)  # no prime: Python ints
-        self.nvars = sub.ambient_dim + 1
-        self.e = sub.codim
-        self._degree, self._table = 0, np.ones((1, 1), dtype=object)
+        super().__init__(sub, None)
 
     _build_next = _ExpansionTables._build_next
-    block = _ExpansionTables.expanded_block
+    block = _ExpansionTables.block
 
 
 # -- forms ---------------------------------------------------------------------

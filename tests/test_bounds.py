@@ -5,7 +5,6 @@ import pytest
 from fatflats.bounds import (
     BoundReport,
     attach_lower,
-    beta_sequence,
     check_linear_alpha,
     closed_form_star,
     is_subscheme,
@@ -16,7 +15,7 @@ from fatflats.bounds import (
     upper_bounds,
 )
 from fatflats.divisors import ComponentClass, DivisorClass, NefCertificate
-from fatflats.errors import CapExceededError, ValidationError
+from fatflats.errors import ValidationError
 from fatflats.interpolation import AlphaRecord
 from fatflats.schemes import FatPointsP2, build_theorem_b_family
 
@@ -86,17 +85,6 @@ def test_check_linear_alpha_needs_a_k(star25):
             check_linear_alpha(star25, 7, k_max)
         with pytest.raises(ValidationError, match="k_max must be >= 1"):
             upper_bounds(star25, k_max)
-
-
-def test_beta_sequence(star25):
-    scheme = star25
-    report = upper_bounds(scheme, 4)
-    assert beta_sequence(report.table) == [1, 4, 1]
-    with pytest.raises(ValidationError):
-        beta_sequence([AlphaRecord(k=1, alpha=4), AlphaRecord(k=3, alpha=9)])
-    with pytest.raises(CapExceededError):
-        beta_sequence([AlphaRecord(k=1, alpha=4),
-                       AlphaRecord(k=2)])
 
 
 def test_is_subscheme():

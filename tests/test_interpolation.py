@@ -222,16 +222,32 @@ def _seeded_points():
     return out
 
 
-@pytest.mark.parametrize("p", DEFAULT_PRIMES, ids=PRIME_IDS)
+# The three lanes of a point's rows: each field prime, and None for Q.
+LANES, LANE_IDS = (*DEFAULT_PRIMES, None), (*PRIME_IDS, "rational")
+
+
+def _lane_tables(sub, p):
+    return AdaptedTablesQQ(sub) if p is None else AdaptedTablesModP(sub, p)
+
+
+def _lane_rank_kernel(rows, p):
+    """(rank, kernel as a list) of integer rows mod p, or over Q."""
+    if p is None:
+        return rank_kernel_rational(rows.tolist(), ncols=rows.shape[1])
+    rank, kernel = rank_kernel_modp(rows, p)
+    return rank, None if kernel is None else kernel.tolist()
+
+
+@pytest.mark.parametrize("p", LANES, ids=LANE_IDS)
 def test_hasse_rows_match_expansion_tables(p):
     """A point's closed-form Hasse rows and the rows read off its expansion
-    table (built by ``_build_next``) have the same row space mod p, so the
-    same normalised kernel; also at kappa > d, where both are the identity
-    on the degree-d monomials."""
+    table (built by ``_build_next``) have the same row space, mod p and
+    over Q, so the same normalised kernel; also at kappa > d, where both
+    are the identity on the degree-d monomials."""
     for coords in _seeded_points():
         sub = point_subspace(coords)
         n = sub.ambient_dim
-        tables = AdaptedTablesModP(sub, p)
+        tables = _lane_tables(sub, p)
         for d in range(5):
             for kappa in range(1, d + 3):
                 hasse = tables.block(d, kappa)
@@ -239,35 +255,36 @@ def test_hasse_rows_match_expansion_tables(p):
                 rows = condition_row_count(n, kappa, d, n)
                 assert hasse.shape == expanded.shape == (
                     rows, len(monomial_basis(n + 1, d)))
-                rank, kernel = rank_kernel_modp(hasse, p)
+                assert hasse.dtype == expanded.dtype
+                rank, kernel = _lane_rank_kernel(hasse, p)
                 assert rank == rows
-                assert rank_kernel_modp(np.vstack([hasse, expanded]),
-                                        p)[0] == rank
-                other = rank_kernel_modp(expanded, p)[1]
-                assert (kernel is None) == (other is None)
-                assert kernel is None or (kernel == other).all()
+                assert _lane_rank_kernel(np.vstack([hasse, expanded]),
+                                         p)[0] == rank
+                assert _lane_rank_kernel(expanded, p)[1] == kernel
         assert tables._degree == 4
 
 
-@pytest.mark.parametrize("p", DEFAULT_PRIMES, ids=PRIME_IDS)
+@pytest.mark.parametrize("p", LANES, ids=LANE_IDS)
 def test_modp_membership_at_points(p):
-    """On Hasse rows, a power of a linear form through the point is in
-    I^kappa and a nonzero form of degree < kappa is not."""
+    """On Hasse rows, mod p and over Q, a power of a linear form through
+    the point is in I^kappa and a nonzero form of degree < kappa is not."""
     rng = random.Random(5)
+    field = "rational" if p is None else p
     for coords in _seeded_points():
         sub = point_subspace(coords)
         n = sub.ambient_dim
         for kappa in (1, 2, 3):
             scheme = FatFlatScheme(n, (FatComponent(sub, kappa),))
-            power = form_product([(sub.forms[0], kappa)])
-            member = Form.from_dict(n, kappa, {
-                m: c.numerator * pow(c.denominator, -1, p) % p
-                for m, c in power.terms()}, field=p)
+            member = form_product([(sub.forms[0], kappa)])
+            if p is not None:
+                member = Form.from_dict(n, kappa, {
+                    m: c.numerator * pow(c.denominator, -1, p) % p
+                    for m, c in member.terms()}, field=p)
             assert membership(member, scheme, 1)
             for d in range(kappa):
                 low = Form.from_dict(n, d, {
-                    m: rng.randrange(1, p) for m in monomial_basis(n + 1, d)},
-                    field=p)
+                    m: rng.randrange(1, p or 100)
+                    for m in monomial_basis(n + 1, d)}, field=field)
                 assert not membership(low, scheme, 1)
 
 
@@ -580,6 +597,41 @@ def test_a_true_star_floor_keeps_every_record(star25):
     for other in (FatFlatScheme(n, scheme.components),
                   FatFlatScheme(n, scheme.components, StarData(hyps, 4, 1))):
         assert [r.alpha for r in alpha_table(other, range(1, 4))] == expected
+
+
+def test_rational_points_build_no_table(monkeypatch):
+    """Over Q a point takes its Hasse rows too: the rational alpha table
+    of Theorem B's case c and the exact membership of its witnesses build
+    no table degree and no coordinate change.  A line in P^3 still
+    expands its coordinate change, one table degree at a time."""
+    built, changed = [], []
+    build_next = AdaptedTablesQQ._build_next
+    integral_change = interpolation._integral_change
+
+    def counting(self):
+        built.append((self, self._degree + 1))
+        build_next(self)
+
+    def recording(sub):
+        changed.append(sub)
+        return integral_change(sub)
+
+    monkeypatch.setattr(AdaptedTablesQQ, "_build_next", counting)
+    monkeypatch.setattr(interpolation, "_integral_change", recording)
+    scheme = build_theorem_b_family("c").to_scheme()
+    table = alpha_table(scheme, range(1, 4), mode="rational")
+    assert [r.alpha for r in table] == [3, 5, 7]
+    assert all(membership(r.witness, scheme, r.k) for r in table)
+    assert built == [] and changed == []
+
+    line = Subspace(3, [LinForm([1, 2, -1, 3]), LinForm([0, 1, 4, -2])])
+    scheme = FatFlatScheme(3, (
+        FatComponent(line, 2), FatComponent(point_subspace((1, -2, 0, 1)), 1)))
+    (record,) = alpha_table(scheme, [1], mode="rational")
+    assert membership(record.witness, scheme, 1)
+    assert len(changed) == 2 and not any(sub.is_point for sub in changed)
+    assert [d for _, d in built] == [1, 2] * 2
+    assert not any(t.sub.is_point for t, _ in built)
 
 
 def test_the_star_floor_proves_the_answer(search_log):
