@@ -6,10 +6,13 @@ rank, inverse and kernel by one back-substitution, and elimination over
 F_p blocked on two levels for the fast lane.  Pivot order is deterministic
 (leftmost column, topmost nonzero row) so kernel vectors are reproducible.
 
-The F_p kernel works on int64 residues of a prime p < _PRIME_BOUND.  Its
-block products run as one float64 BLAS matrix product on integers, whose
-partial sums stay below 2^53 and so are exact; they are converted back to
-int64 and reduced mod p, and no rounded value is ever used.
+The F_p kernel works on int64 residues of a prime p < _PRIME_BOUND.  A
+block's pivot rows take its row operations by forward substitution in
+int64, each row a sum of at most _PANEL - 1 products below p^2 < 2^46, so
+below 2^52.  The rows below take them as one float64 BLAS matrix product
+on integers, whose partial sums stay below 2^53 and so are exact; it is
+converted back to int64 and reduced mod p, and no rounded value is ever
+used.
 """
 
 from bisect import bisect_right
@@ -20,17 +23,19 @@ import numpy as np
 
 
 def _clear_row_denominators(row):
+    """A row of ints or Fractions times the lcm of its denominators, as
+    Python ints: numpy integers would overflow in Bareiss."""
     den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+    return [int(x * den) for x in row]
 
 
 def bareiss_echelon(rows):
-    """Fraction-free forward elimination on rational rows.
+    """Fraction-free forward elimination on rows of ints or Fractions.
 
     Returns (echelon_int_rows, pivot_cols).  Entries stay integral
     throughout (Bareiss), so no intermediate fraction blow-up.
     """
-    m = [_clear_row_denominators([Fraction(x) for x in row]) for row in rows]
+    m = [_clear_row_denominators(row) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -125,14 +130,16 @@ def rank_kernel_rational(rows, ncols=None):
 
 
 # Each panel of _PANEL columns is eliminated in sub-panels of _SUB
-# columns, so every block product has at most _PANEL terms.  The trailing
-# update runs in strips of _STRIP columns to bound its temporaries.
+# columns, so every block product has at most _PANEL terms, and every
+# forward-substitution sum at most _PANEL - 1.  The trailing update runs
+# in strips of _STRIP columns to bound its temporaries.
 _PANEL = 64
 _SUB = 16
 _STRIP = 256
 # The exactness bound of the block products: for every p < _PRIME_BOUND,
 # _PANEL * (p - 1)^2 < 2^6 * 2^46 = 2^52 < 2^53, so each partial sum of a
-# product of residues is an exact float64 integer, whatever the order.
+# product of residues is an exact float64 integer, whatever the order, and
+# a forward-substitution row stays below 2^52 < 2^63 in int64.
 _PRIME_BOUND = 1 << 23
 
 
@@ -143,36 +150,23 @@ def _matmul_lift(a, b, p):
     return (a @ b.astype(np.float64)).astype(np.int64)
 
 
-def _matmul_modp(a, b, p):
-    """``a @ b mod p`` exactly, for the operands of :func:`_matmul_lift`."""
-    return _matmul_lift(a, b, p) % p
-
-
-def _unit_lower_inverse(low, p):
-    """Inverse mod p of the unit lower triangular matrix whose strictly
-    lower part is that of the square int64 matrix ``low``."""
-    k = low.shape[0]
-    inv = np.eye(k, dtype=np.int64)
-    for j in range(k - 1):
-        inv[j + 1:, :j + 1] = (inv[j + 1:, :j + 1]
-                               - low[j + 1:, j, None] * inv[j, :j + 1]) % p
-    return inv
-
-
 def _trailing_update(T, L, p):
     """Apply a block's row operations to its trailing columns ``T`` (a view
     from the block's first row down), in place.  ``L`` holds the block's
-    multipliers: k <= _PANEL pivot columns, rows aligned with ``T``."""
+    multipliers: k <= _PANEL pivot columns, rows aligned with ``T``.  The
+    k pivot rows take them by forward substitution in int64, row i after
+    rows 0..i-1 as in one unblocked elimination; the rows below take one
+    float64 product per strip."""
     k = L.shape[1]
-    top_inv = _unit_lower_inverse(L[:k], p).astype(np.float64)
+    for i in range(1, k):
+        # At most _PANEL - 1 products below p^2 < 2^46: the sum is < 2^52.
+        T[i] = (T[i] - L[i, :i] @ T[:i]) % p
     bottom = L[k:].astype(np.float64)
     for s in range(0, T.shape[1], _STRIP):
-        X = _matmul_modp(top_inv, T[:k, s:s + _STRIP], p)
-        T[:k, s:s + _STRIP] = X
-        if bottom.size:
-            # T - lift lies in (-2^52, p), so one reduction serves.
-            T[k:, s:s + _STRIP] = (T[k:, s:s + _STRIP]
-                                   - _matmul_lift(bottom, X, p)) % p
+        # T - lift lies in (-2^52, p), so one reduction serves.
+        T[k:, s:s + _STRIP] = (T[k:, s:s + _STRIP]
+                               - _matmul_lift(bottom, T[:k, s:s + _STRIP],
+                                              p)) % p
 
 
 def _eliminate(M, c0, c1, r, widths, pivots, inverses, p):
@@ -231,15 +225,17 @@ def rank_kernel_modp(mat, p):
     pivot by pivot (leftmost column, topmost nonzero row; rows are swapped
     whole, and the multipliers are stored in place of the entries they
     eliminate), with int64 updates across the sub-panel only.  The rest
-    of the panel, and after the panel the trailing columns, then get two
-    float64 BLAS products, ``X = L_top^-1 @ T_top`` and
-    ``T_bot -= L_bot @ X``, where L holds the block's multipliers.  Their
-    inner dimension is the block's pivot count, at most _PANEL, so each is
-    exact, and the update is reduced in int64.  The arithmetic is that of
-    one unblocked elimination in another order, so the pivots, the
-    multipliers and the result do not depend on the block sizes.  The
-    pivot columns are the column rank profile of ``mat``; back-substitution
-    runs over the pivots left of the first free column only.
+    of the panel, and after the panel the trailing columns, then take the
+    block's multipliers L.  The block's k <= _PANEL pivot rows take them
+    by int64 forward substitution, ``T[i] -= L[i, :i] @ T[:i]`` mod p for
+    i = 1..k-1, each sum below (_PANEL - 1) * p^2 < 2^52; the rows below
+    take one float64 BLAS product per strip, ``T_bot -= L_bot @ T_top``,
+    exact since its k terms stay below 2^53, reduced in int64.  The
+    arithmetic is that of one unblocked elimination in another order, so
+    the pivots, the multipliers and the result do not depend on the block
+    sizes.  The pivot columns are the column rank profile of ``mat``;
+    back-substitution runs over the pivots left of the first free column
+    only.
     """
     if not 2 <= p < _PRIME_BOUND:
         raise ValueError(f"modulus {p} is outside [2, {_PRIME_BOUND})")

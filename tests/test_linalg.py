@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fatflats import linalg
 from fatflats.linalg import (
     _PANEL,
     _PRIME_BOUND,
-    _matmul_modp,
+    _matmul_lift,
     bareiss_echelon,
     invert_matrix,
     matrix_rank,
@@ -201,6 +202,30 @@ def test_bareiss_entries_are_integers_and_rank_matches():
         assert len(pivots) == len(_reference_rref(rows)[1])
 
 
+def test_bareiss_makes_no_fraction_from_integer_rows(monkeypatch):
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "Fraction", CountingFraction)
+    ech, pivots = bareiss_echelon([[2, 1, 0], [4, 3, 5], [1, 0, 7]])
+    assert made == []
+    assert pivots == [0, 1, 2]
+
+
+def test_bareiss_numpy_int64_rows_match_python_ints():
+    # Entries near 2^40: the echelon's later rows pass 2^63, so int64
+    # entries would wrap.
+    rng = np.random.default_rng(40)
+    rows = rng.integers(1 << 40, 1 << 41, size=(4, 5), dtype=np.int64)
+    ech, pivots = bareiss_echelon(rows)
+    assert (ech, pivots) == bareiss_echelon(rows.tolist())
+    assert all(type(x) is int for row in ech for x in row)
+
+
 def test_rank_kernel_rational_kernel_annihilates():
     rng = random.Random(3)
     for _ in range(25):
@@ -321,6 +346,11 @@ def _blocked_cases(p):
         "rows-end-inside-second-panel": rand(71, 150),
         "rows-end-at-sub-panel": rand(16, 40),
         "star-like-tall-low-rank": star_like,
+        # Entries from the top of the field, over two panels: the forward
+        # substitution of a block's pivot rows sums up to 63 products
+        # below p^2.
+        "entries-near-p": rng.integers(p - (1 << 15), p, size=(200, 150),
+                                       dtype=np.int64),
     }
 
 
@@ -362,7 +392,7 @@ def test_block_product_exact_near_the_bound(p):
     a = rng.integers(p - (1 << 15), p, size=(40, _PANEL), dtype=np.int64)
     b = rng.integers(p - (1 << 15), p, size=(_PANEL, 30), dtype=np.int64)
     exact = a.astype(object) @ b.astype(object) % p
-    assert (_matmul_modp(a.astype(np.float64), b, p) == exact).all()
+    assert (_matmul_lift(a.astype(np.float64), b, p) % p == exact).all()
 
 
 @pytest.mark.parametrize("p", [1, _PRIME_BOUND, 1 << 31])
