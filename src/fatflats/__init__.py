@@ -27,6 +27,7 @@ from .divisors import (  # noqa: F401
 from .interpolation import (  # noqa: F401
     AlphaRecord,
     Form,
+    ProductWitness,
     alpha_symbolic,
     alpha_table,
     form_product,

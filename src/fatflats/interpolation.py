@@ -25,8 +25,11 @@ it has full rank, the product is the answer's rational witness, and no
 second prime runs.  Each F_p condition matrix reduces an integer matrix
 whose rows span the same space over Q as the adapted conditions, the
 matrix the Q lane eliminates.  Its rank mod p is at most its rank over
-Q, so full column rank mod p proves the lower bound.  A form is integer
-numerators over one denominator: membership is exact.
+Q, so full column rank mod p proves the lower bound.  A kernel witness is
+a :class:`Form`, integer numerators over one denominator; a product
+witness is a :class:`ProductWitness`, the product's factors, expanded
+only on demand.  Membership is exact for both: a Form's numerators meet
+the condition rows, a product adds its factors' orders.
 """
 
 from dataclasses import dataclass
@@ -38,13 +41,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .linalg import rank_kernel_modp, rank_kernel_rational
-from .projective import (
-    LinForm,
-    Subspace,
-    complete_basis,
-    hyperplane_subspace,
-    subspace_contains,
-)
+from .projective import LinForm, Subspace, complete_basis
 from .scalars import DEFAULT_PRIMES
 from .schemes import FatFlatScheme, symbolic_multiplicities
 
@@ -146,7 +143,7 @@ def _primitive(v):
     ``LinForm``'s coefficients) times the lcm of its denominators: a
     primitive integer vector."""
     scale = lcm(*(x.denominator for x in v))
-    return tuple(int(x * scale) for x in v)
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
 
 
 def _primitive_point(sub: Subspace):
@@ -396,6 +393,41 @@ def multiply_forms(f: Form, g: Form) -> Form:
     return Form.from_dict(f.ambient_dim, f.degree + g.degree, out, f.field)
 
 
+@dataclass(frozen=True)
+class ProductWitness:
+    """A product prod H_j^(a_j) of linear forms, kept as its factors:
+    ``factors`` is ((integer coefficients of H_j, a_j), ...), each H_j
+    nonzero and each a_j >= 1.  It is an integral form over Q of degree
+    sum a_j; :meth:`expand` writes it out as a :class:`Form`, whose terms
+    a star product of high degree has millions of.  The witness of a k
+    that its star product closes (see alpha_table) is one, with the
+    primitive coefficients of the star's hyperplanes, in their order."""
+
+    ambient_dim: int
+    factors: tuple
+    field = "rational"
+
+    def __post_init__(self):
+        if not self.factors:
+            raise ValidationError("a product needs at least one factor")
+        for coeffs, a in self.factors:
+            if len(coeffs) != self.ambient_dim + 1:
+                raise ValidationError(
+                    f"factor {list(coeffs)} is not a linear form in "
+                    f"{self.ambient_dim + 1} variables")
+            if not any(coeffs):
+                raise ValidationError("a factor is the zero form")
+            if a < 1:
+                raise ValidationError(f"factor exponent {a} is below 1")
+
+    @property
+    def degree(self) -> int:
+        return sum(a for _, a in self.factors)
+
+    def expand(self) -> Form:
+        return form_product(self.factors)
+
+
 # -- alpha of symbolic powers --------------------------------------------------
 
 @dataclass
@@ -404,14 +436,16 @@ class AlphaRecord:
 
     ``field_mode`` is the lane that answered ("modp", or "rational" for
     the rational lane and for an escalated k), and ``primes`` the mod-p
-    lane's primes when they ran on this k.  A k that its star product
-    closes (see alpha_table) keeps the lane of the call, has a rational,
-    integral witness and ``primes`` None: no prime confirmed it, so it is
-    never ``escalated``."""
+    lane's primes when they ran on this k.  The witness of a searched k is
+    its kernel :class:`Form`, mod the first prime or over Q.  A k that its
+    star product closes (see alpha_table) keeps the lane of the call, has
+    that product as its witness, a :class:`ProductWitness` (rational and
+    integral, never expanded unless asked), and ``primes`` None: no prime
+    confirmed it, so it is never ``escalated``."""
 
     k: int
     alpha: int = None
-    witness: Form = None
+    witness: object = None
     field_mode: str = "modp"
     degree_cap: int = 0
     primes: tuple = None
@@ -479,24 +513,29 @@ def _kernel_rational(tables, orders, d):
 
 
 def _star_products(scheme: FatFlatScheme, records, floors):
-    """{k: the exponents (a_1..a_s) of the least-degree balanced product
-    prod H_j^(a_j) of the star's hyperplanes in I^(k)}, for the ks that
-    have one up to their cap.
+    """{k: the least-degree balanced product prod H_j^(a_j) of the star's
+    hyperplanes in I^(k), a :class:`ProductWitness`}, for the ks that have
+    one up to their cap.
 
     The product vanishes to order sum_{H_j ⊇ c} a_j along a component c,
     so it lies in I^(k) when each c is covered: that sum is >= k*mu_c.
-    Balanced: a_j = q + (j < r) for a total T = q*s + r, T taken upward
-    from floors[k]; each a_j only grows with T, so the first covered T is
-    the least.  For the pure star m*S_N(e, s) that is the least degree of
-    any star product, since for a fixed total the e smallest entries sum
-    highest when the entries differ by at most one."""
+    H_j contains c when its primitive coefficients vanish at each of c's
+    primitive spanning points, in Python ints.  Balanced: a_j = q + (j < r)
+    for a total T = q*s + r, T taken upward from floors[k]; each a_j only
+    grows with T, so the first covered T is the least.  For the pure star
+    m*S_N(e, s) that is the least degree of any star product, since for a
+    fixed total the e smallest entries sum highest when the entries differ
+    by at most one."""
     star = scheme.star
     if star is None:
         return {}
-    planes = [hyperplane_subspace(h) for h in star.hyperplanes]
-    covers = [([j for j, plane in enumerate(planes)
-                if subspace_contains(plane, c.subspace)], c.multiplicity)
-              for c in scheme.components]
+    planes = [_primitive(h.coeffs) for h in star.hyperplanes]
+    covers = []
+    for c in scheme.components:
+        points = [_primitive(v) for v in c.subspace.basis]
+        covers.append(([j for j, h in enumerate(planes)
+                        if not any(sum(x * y for x, y in zip(h, v))
+                                   for v in points)], c.multiplicity))
     if not all(on for on, _ in covers):
         return {}  # a component on no star hyperplane: no product
     products = {}
@@ -506,7 +545,8 @@ def _star_products(scheme: FatFlatScheme, records, floors):
             q, r = divmod(total, star.s)
             a = [q + (j < r) for j in range(star.s)]
             if all(sum(a[j] for j in on) >= k * mu for on, mu in covers):
-                products[k] = a
+                products[k] = ProductWitness(scheme.ambient_dim, tuple(
+                    (h, aj) for h, aj in zip(planes, a) if aj))
                 break
     return products
 
@@ -552,10 +592,10 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     product u of the star's hyperplanes in I^(k) (``_star_products``) is
     an exact witness of alpha(I^(k)) <= u, by counting orders alone.  The
     scan stops at u - 1; full rank up to there proves alpha(I^(k)) = u,
-    and the product, expanded over Q from each hyperplane's primitive
-    integer coefficients, is the record's witness, with no second prime
-    and no run over Q.  A kernel below u takes the path above.  Two facts
-    prove start:
+    and the product, a :class:`ProductWitness` of each hyperplane's
+    primitive integer coefficients, is the record's witness, with no
+    second prime and no run over Q.  A kernel below u takes the path
+    above.  Two facts prove start:
 
     - The floor.  floor = max(max(orders), ceil(k*m*s/e)) when
       ``scheme.star_core`` = (e, s, m), and max(orders) otherwise.  No
@@ -585,7 +625,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     floors = {k: max(*kappas, -(-k * m * s // e))  # ceil(k*m*s/e), or 0
               for k, kappas in orders.items()}
     products = _star_products(scheme, records, floors)
-    uppers = {k: sum(a) for k, a in products.items()}
+    uppers = {k: w.degree for k, w in products.items()}
     subs = [c.subspace for c in scheme.components]
     found = {}
     if mode == "modp":
@@ -613,9 +653,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
         if d is None:
             continue
         if kernel is None:
-            record.alpha, record.witness = d, form_product(
-                (_primitive(h.coeffs), a)
-                for h, a in zip(scheme.star.hyperplanes, products[record.k]))
+            record.alpha, record.witness = d, products[record.k]
             continue
         field = p1 if record.field_mode == "modp" else "rational"
         record.alpha, record.witness = d, Form.from_values(
@@ -629,6 +667,13 @@ def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
     return alpha_table(scheme, [k], mode, degree_cap)[0]
 
 
+def _product_order(product: ProductWitness, sub: Subspace) -> int:
+    """ord_L(prod H_j^(a_j)) = sum_j a_j ord_L(H_j) along L = ``sub``."""
+    rows = AdaptedTablesQQ(sub).block(1, 1)
+    return sum(a for coeffs, a in product.factors
+               if not rows.dot(np.array(coeffs, dtype=object)).any())
+
+
 def require_alpha(record: AlphaRecord) -> int:
     if not record.resolved:
         raise CapExceededError(
@@ -636,12 +681,24 @@ def require_alpha(record: AlphaRecord) -> int:
     return record.alpha
 
 
-def membership(form: Form, scheme: FatFlatScheme, k: int) -> bool:
-    """True iff every order-(k*mu_i) condition annihilates the form: each
-    integer row times its numerators is 0, exactly over Q, mod p in the
-    F_p lane."""
+def membership(form, scheme: FatFlatScheme, k: int) -> bool:
+    """True iff the form lies in I^(k).  A :class:`Form` is in it iff
+    every order-(k*mu_i) condition annihilates it: each integer row times
+    its numerators is 0, exactly over Q, mod p in the F_p lane.
+
+    A :class:`ProductWitness` is never expanded.  Along a linear flat L
+    the order ord_L(F) = max{kappa : F in I(L)^kappa} is a valuation (in
+    adapted coordinates it is the least degree in w_0..w_{e-1} of F's
+    terms), so the product is in I(L)^kappa iff sum_j a_j ord_L(H_j) >=
+    kappa.  A nonzero linear form has order 1 along L when L's order-1
+    rows in degree 1 annihilate it (for a point, its value there), and 0
+    otherwise; those rows come from the tables that check a Form, not
+    from the search's own test of which hyperplanes hold a component."""
     if form.ambient_dim != scheme.ambient_dim:
         raise ValidationError("ambient dimension mismatch")
+    if isinstance(form, ProductWitness):
+        return all(_product_order(form, sub) >= kappa
+                   for sub, kappa in symbolic_multiplicities(scheme, k))
     if not any(form.packed):
         raise ValidationError("the zero form is not a membership witness")
     d, p = form.degree, form.field

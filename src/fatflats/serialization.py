@@ -10,7 +10,7 @@ from .bounds import BoundReport, LowerBound
 from .classify import Classification
 from .divisors import ComponentClass, DivisorClass, NefCertificate
 from .errors import ValidationError
-from .interpolation import AlphaRecord, Form
+from .interpolation import AlphaRecord, Form, ProductWitness
 from .projective import LinForm, Subspace
 from .scalars import encode_scalar, parse_scalar, require_int
 from .schemes import FatComponent, FatFlatScheme, FatPointsP2, StarData
@@ -96,7 +96,12 @@ def load_any_scheme(data: dict):
 
 # -- forms ---------------------------------------------------------------------
 
-def form_to_dict(form: Form) -> dict:
+def form_to_dict(form) -> dict:
+    """A Form as its nonzero terms; a ProductWitness as its factors,
+    ``[[coefficients, exponent], ...]``, unexpanded."""
+    if isinstance(form, ProductWitness):
+        return {"ambient_dim": form.ambient_dim, "degree": form.degree,
+                "factors": [[list(coeffs), a] for coeffs, a in form.factors]}
     if form.field != "rational":
         raise ValidationError("only rational forms are serialized")
     return {
@@ -107,10 +112,26 @@ def form_to_dict(form: Form) -> dict:
     }
 
 
-def form_from_dict(data: dict) -> Form:
+def _product_from_dict(n, d, factors) -> ProductWitness:
+    product = ProductWitness(n, tuple(
+        (tuple(require_int(c, "factor coefficient")
+               for c in require_list(coeffs, "factor coefficients")),
+         require_int(a, "factor exponent"))
+        for coeffs, a in require_list(factors, "factors")))
+    if product.degree != d:
+        raise ValidationError(f"degree {d} is not the sum of the factor "
+                              f"exponents, {product.degree}")
+    return product
+
+
+def form_from_dict(data: dict):
+    """The inverse of :func:`form_to_dict`: a ProductWitness when the
+    data has ``factors``, else a Form."""
     try:
         n = require_int(data["ambient_dim"], "ambient_dim")
         d = require_int(data["degree"], "degree")
+        if "factors" in data:
+            return _product_from_dict(n, d, data["factors"])
         if not isinstance(data["coeffs"], dict):
             raise TypeError(f"coeffs must be an object, not {data['coeffs']!r}")
         coeffs = {tuple(int(x) for x in key.split(",")): parse_scalar(val)

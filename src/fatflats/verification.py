@@ -33,6 +33,7 @@ from .classify import (
 from .divisors import ComponentClass, DivisorClass, NefCertificate, lower_bound
 from .errors import ValidationError
 from .interpolation import (
+    _primitive,
     alpha_symbolic,
     alpha_table,
     form_product,
@@ -83,14 +84,15 @@ def check_star_p3_linear():
     H_1^a_1 ... H_4^a_4 vanishes to order a_i + a_j on H_i cap H_j, so
     H1.H2.H3 (k=1), H1.H2.H3.H4 (k=2), (H1.H2.H3)^2.H4 (k=3) and
     (H1.H2.H3.H4)^2 (k=4) lie in I^(k), checked by exact membership.
-    The engine closes each k by its star product, so its witness is that
-    product up to a scalar, with no prime.  Lower bounds: k=1, no quadric
-    contains the six lines (restriction oracle over Q); k=2 and k=4,
-    alpha(I^(m)) >= m * s/e = 2m from the closed-form star constant;
-    k=3, the degree-6 condition matrix of I^(3) has full column rank mod
-    p, hence over Q.  The slope 2 is the limit of alpha(I^(k))/k, met
-    only at even k, so alpha is not linear in k at t=2, while the doubled
-    star has alpha(I^(k)) = 4k.
+    The engine closes each k by its star product, so its witness keeps
+    that product's factors, the hyperplanes' primitive coefficients with
+    these exponents, and expands to it up to a scalar, with no prime.
+    Lower bounds: k=1, no quadric contains the six lines (restriction
+    oracle over Q); k=2 and k=4, alpha(I^(m)) >= m * s/e = 2m from the
+    closed-form star constant; k=3, the degree-6 condition matrix of
+    I^(3) has full column rank mod p, hence over Q.  The slope 2 is the
+    limit of alpha(I^(k))/k, met only at even k, so alpha is not linear
+    in k at t=2, while the doubled star has alpha(I^(k)) = 4k.
     """
     scheme = star_configuration(3, 2, 4, seed=1)
     report = attach_lower(upper_bounds(scheme, 4), star_core_lower(scheme))
@@ -110,7 +112,9 @@ def check_star_p3_linear():
                 and membership(product, scheme, r.k),
                 f"hyperplane product of degree {product.degree} "
                 f"not in I^({r.k})")
-        _expect(r.primes is None and _proportional(r.witness, product),
+        factors = sorted((_primitive(h.coeffs), a) for h, a in products[r.k])
+        _expect(r.primes is None and sorted(r.witness.factors) == factors
+                and _proportional(r.witness.expand(), product),
                 f"engine witness at k={r.k} is not its star product")
 
     _expect(not _line_restriction_oracle(scheme.star.hyperplanes, degree=2),

@@ -121,6 +121,11 @@ _FALSE_STAR = json.dumps({
     "star_core": {"e": 1, "m": 1, "hyperplanes": _LINES}})
 
 
+def _product_json(degree, factors):
+    return json.dumps({"ambient_dim": 2, "degree": degree,
+                       "factors": factors})
+
+
 def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
     return json.dumps({"points": list(points),
                        "multiplicities": multiplicities})
@@ -165,6 +170,13 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
         {"forms": ["100", "010"], "multiplicity": 1}]}), []),
     ("member", json.dumps({"ambient_dim": 2, "degree": 2,
                            "coeffs": {"-1,3,0": "1"}}), []),
+    ("member", _product_json(3, [[[1, 0, 0], 2]]), []),
+    ("member", _product_json(1, [[[1, 0], 1]]), []),
+    ("member", _product_json(1, [[[0, 0, 0], 1]]), []),
+    ("member", _product_json(0, [[[1, 0, 0], 0]]), []),
+    ("member", _product_json(0, [[[1, 0, 0], 1], [[0, 1, 0], -1]]), []),
+    ("member", _product_json(1, [[["1/2", 0, 1], 1]]), []),
+    ("member", _product_json(1, [[[1.5, 0, 1], 1]]), []),
 ], ids=["malformed-json", "top-level-not-object", "sweep-k-max-not-integer",
         "sweep-grid-not-object", "sweep-grid-value-not-list",
         "sweep-grid-entry-not-integer", "sweep-grid-entry-boolean",
@@ -176,7 +188,11 @@ def _points_json(multiplicities, points=([1, 0, 0], [0, 1, 0])):
         "points-multiplicity-string", "points-multiplicity-float",
         "alpha-empty-k-range", "sweep-k-max-null", "points-two-coordinates",
         "points-four-coordinates", "points-coordinates-string",
-        "forms-row-string", "form-negative-exponent"])
+        "forms-row-string", "form-negative-exponent",
+        "product-degree-not-sum", "product-factor-length",
+        "product-zero-factor", "product-exponent-zero",
+        "product-exponent-negative", "product-coefficient-fraction",
+        "product-coefficient-float"])
 def test_bad_input_exit_2(runner, star_file, tmp_path, command, content,
                           extra):
     path = star_file
@@ -264,14 +280,24 @@ def test_bounds_star_core_exact(runner, tmp_path):
     assert report["verdict"] == "exact"
     assert report["upper"]["value"] == "5/2"
     # Each k is closed by its star product: the record prints that
-    # rational witness, names no primes, and `member` accepts it.
+    # rational witness as its factors, names no primes, and `member`
+    # accepts it, but not the product with its last exponent lowered.
     for row in report["table"]:
         assert "primes" not in row and row["field_mode"] == "modp"
-        form_path = tmp_path / f"witness{row['k']}.json"
-        form_path.write_text(json.dumps(row["witness"]))
-        result = _invoke(runner, ["member", str(form_path), str(path),
-                                  "--k", str(row["k"])])
-        assert result.output.strip() == "member"
+        witness = row["witness"]
+        assert "coeffs" not in witness and witness["degree"] == row["alpha"]
+        assert len(witness["factors"]) in (4, 5)
+        lowered = json.loads(json.dumps(witness))
+        lowered["degree"] -= 1
+        lowered["factors"][-1][1] -= 1
+        if lowered["factors"][-1][1] == 0:
+            lowered["factors"].pop()
+        for form, verdict in ((witness, "member"), (lowered, "not a member")):
+            form_path = tmp_path / f"witness{row['k']}.json"
+            form_path.write_text(json.dumps(form))
+            result = _invoke(runner, ["member", str(form_path), str(path),
+                                      "--k", str(row["k"])])
+            assert result.output.strip() == verdict
 
 
 # 3L - 2E_1 - E_2 - E_3 - E_4 on case c (the double point first): 7/3.

@@ -7,7 +7,9 @@ the inputs came from ``fatflats build star --n 2 --e 2 --s 5 --seed 1``
 and ``fatflats build thmb-family --case c``.  The two ``build`` goldens
 pin the generated coordinates: the quasi-star draws a random point on
 each of its lines.  The star bounds golden closes every k by a product of
-the star's hyperplanes and holds each one's integral witness.
+the star's hyperplanes and holds each one's factors; the same report
+with each witness expanded into its terms is kept as
+``bounds_star_2_2_5_expanded.json``, the oracle for ``expand()``.
 """
 
 from pathlib import Path
@@ -15,7 +17,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from fatflats.bounds import attach_lower, star_core_lower, upper_bounds
 from fatflats.cli import main
+from fatflats.serialization import (
+    dump_json,
+    form_to_dict,
+    load_json,
+    report_to_dict,
+    scheme_from_dict,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,3 +49,16 @@ def test_cli_output_is_byte_identical(args, golden, monkeypatch):
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0
     assert result.stdout_bytes == (DATA / golden).read_bytes()
+
+
+def test_star_witnesses_expand_to_the_recorded_forms():
+    """Each factored witness of the star bounds report expands, term for
+    term, to the witness that the report printed when it expanded them."""
+    scheme = scheme_from_dict(load_json(DATA / "star_2_2_5.json"))
+    report = attach_lower(upper_bounds(scheme, 4, label="star_2_2_5.json"),
+                          star_core_lower(scheme))
+    data = report_to_dict(report)
+    for row, record in zip(data["table"], report.table):
+        row["witness"] = form_to_dict(record.witness.expand())
+    assert dump_json(data).encode() == \
+        (DATA / "bounds_star_2_2_5_expanded.json").read_bytes()

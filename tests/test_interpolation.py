@@ -11,6 +11,7 @@ from fatflats.interpolation import (
     AdaptedTablesModP,
     AdaptedTablesQQ,
     Form,
+    ProductWitness,
     _integral_change,
     alpha_symbolic,
     alpha_table,
@@ -644,7 +645,8 @@ def test_the_star_floor_proves_the_answer(search_log):
     (record,) = alpha_table(scheme, [4])
     assert record.alpha == 10 and record.primes is None
     assert eliminated == []
-    assert record.witness.denominator == 1
+    assert record.witness.degree == record.alpha
+    assert record.witness.expand().denominator == 1
 
 
 _PRODUCT_SCHEMES = {
@@ -666,9 +668,10 @@ _PRODUCT_SCHEMES = {
 def test_star_product_is_sound_and_tight(name):
     """The star product gives the alpha table of the same components
     without their star, which takes the search with no upper bracket, in
-    both lanes.  Each product witness is an integral form that passes
-    exact membership (over Q, up to the rational lane's largest k; the
-    mod-p lane's witness at such k is the same product)."""
+    both lanes.  Each product witness keeps its factors, expands to an
+    integral form and passes exact membership (over Q, up to the rational
+    lane's largest k; the mod-p lane's witness at such k is the same
+    product)."""
     scheme, k_modp, k_rational = _PRODUCT_SCHEMES[name]
     starless = FatFlatScheme(scheme.ambient_dim, scheme.components)
     tables = {}
@@ -680,8 +683,9 @@ def test_star_product_is_sound_and_tight(name):
         for r in tables[mode]:
             assert r.primes is None and not r.escalated
             assert r.field_mode == mode and r.witness.field == "rational"
+            assert isinstance(r.witness, ProductWitness)
             assert r.witness.degree == r.alpha
-            assert r.witness.denominator == 1
+            assert r.witness.expand().denominator == 1
     for modp, rational in zip(tables["modp"], tables["rational"]):
         assert modp.witness == rational.witness
         assert membership(rational.witness, scheme, rational.k)
@@ -702,3 +706,37 @@ def test_alpha_table_matches_one_k_searches(q):
         assert [r.alpha for r in table] == expected
         if mode == "modp":
             assert all(r.escalated == (q == DEFAULT_PRIMES[0]) for r in table)
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_SCHEMES))
+def test_product_membership_matches_expansion(name):
+    """Factored membership, which adds the factors' orders, agrees with
+    exact membership of the expanded product: on each witness, a member
+    of I^(k), whether or not it lies in I^(k+1) too, and on the witness
+    with any one exponent lowered, a form of degree alpha - 1 and so
+    never a member."""
+    scheme, k_modp, _ = _PRODUCT_SCHEMES[name]
+    for r in alpha_table(scheme, range(1, k_modp + 1)):
+        w = r.witness
+        assert membership(w, scheme, r.k) is True
+        assert membership(w.expand(), scheme, r.k) is True
+        assert membership(w, scheme, r.k + 1) == \
+            membership(w.expand(), scheme, r.k + 1)
+        for j, (coeffs, a) in enumerate(w.factors):
+            lowered = w.factors[:j] + ((coeffs, a - 1),) * (a > 1) \
+                + w.factors[j + 1:]
+            lower = ProductWitness(w.ambient_dim, lowered)
+            assert lower.degree == r.alpha - 1
+            assert membership(lower, scheme, r.k) is False
+            assert membership(lower.expand(), scheme, r.k) is False
+
+
+def test_product_witness_validates_its_factors():
+    ProductWitness(2, (((1, 0, 0), 2),))
+    for factors in ((), (((1, 0), 1),), (((0, 0, 0), 1),),
+                    (((1, 0, 0), 0),)):
+        with pytest.raises(ValidationError):
+            ProductWitness(2, factors)
+    with pytest.raises(ValidationError, match="ambient dimension"):
+        membership(ProductWitness(3, (((1, 0, 0, 0), 1),)),
+                   star_configuration(2, 2, 4, seed=1), 1)

@@ -125,6 +125,17 @@ def test_form_roundtrip():
     assert form_from_dict(data) == form
 
 
+def test_product_witness_roundtrip(star25):
+    """A star product is written as its factors and read back as one."""
+    record = alpha_symbolic(star25, 3)
+    data = json.loads(dump_json(form_to_dict(record.witness)))
+    assert data == {"ambient_dim": 2, "degree": 9, "factors": [
+        [list(coeffs), a] for coeffs, a in record.witness.factors]}
+    assert [a for _, a in data["factors"]] == [2, 2, 2, 2, 1]
+    assert form_from_dict(data) == record.witness
+    assert alpha_record_to_dict(record)["witness"] == data
+
+
 def test_modp_forms_are_not_serialized(star25):
     # Without its star the scheme has no product witness: the mod-p lane
     # answers with a witness mod p1.
