@@ -240,7 +240,11 @@ def bounds(scheme_file, k_max, mode, cap, certificate_file, output):
 @click.argument("scheme_file", type=click.Path(exists=True))
 @click.option("--k", type=int, default=1)
 def member(form_file, scheme_file, k):
-    """Exact membership of a form in the k-th symbolic power."""
+    """Exact membership of a form in the k-th symbolic power.
+
+    FORM_FILE holds a kernel witness (its terms) or a hyperplane product
+    (its factors), as fatflats bounds prints them; a product is checked by
+    adding its factors' orders along each component, unexpanded."""
     def go():
         form = form_from_dict(load_json(form_file))
         scheme = _load_scheme_arg(scheme_file)

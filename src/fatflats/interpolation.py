@@ -18,24 +18,28 @@ They run in int64 over F_p (default; one prime searches, a second
 confirms only the kernel degrees, and a k re-runs over Q only when it
 refutes its degree) and in Python ints with Bareiss over Q.  Each k
 starts past the previous answer and only scans upward, so one set of
-tables per prime serves every k, each table built once.  On a scheme
-with a star, a product of the star's hyperplanes in I^(k), proved by
-counting its orders, bounds the scan from above: when every degree below
-it has full rank, the product is the answer's rational witness, and no
-second prime runs.  Each F_p condition matrix reduces an integer matrix
-whose rows span the same space over Q as the adapted conditions, the
-matrix the Q lane eliminates.  Its rank mod p is at most its rank over
-Q, so full column rank mod p proves the lower bound.  A kernel witness is
-a :class:`Form`, integer numerators over one denominator; a product
-witness is a :class:`ProductWitness`, the product's factors, expanded
-only on demand.  Membership is exact for both: a Form's numerators meet
-the condition rows, a product adds its factors' orders.
+tables per prime serves every k, each table built once, and made at the
+first elimination.  A product of hyperplanes in I^(k), proved by
+counting its orders, bounds the scan from above: of the star's
+hyperplanes on a scheme with a star, and otherwise of a catalog of the
+hyperplanes spanned by the components' spanning points.  When every
+degree below it has full rank, the product is the answer's rational
+witness, and no second prime runs.  Each F_p condition matrix reduces an
+integer matrix whose rows span the same space over Q as the adapted
+conditions, the matrix the Q lane eliminates.  Its rank mod p is at most
+its rank over Q, so full column rank mod p proves the lower bound.  A
+kernel witness is a :class:`Form`, integer numerators over one
+denominator; a product witness is a :class:`ProductWitness`, the
+product's factors, expanded only on demand.  Membership is exact for
+both: a Form's numerators meet the condition rows, a product adds its
+factors' orders.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -291,6 +295,20 @@ class AdaptedTablesQQ(_ExpansionTables):
 
 # -- forms ---------------------------------------------------------------------
 
+def _pack(nums) -> bytes:
+    """Integers, each in as many bytes (little-endian two's complement) as
+    the largest needs."""
+    width = max(c.bit_length() // 8 + 1 for c in nums)
+    return b"".join(c.to_bytes(width, "little", signed=True) for c in nums)
+
+
+def _unpack(packed: bytes, count: int) -> tuple:
+    """The ``count`` integers that :func:`_pack` wrote."""
+    width = len(packed) // count
+    return tuple(int.from_bytes(packed[i:i + width], "little", signed=True)
+                 for i in range(0, len(packed), width))
+
+
 @dataclass(frozen=True)
 class Form:
     """A homogeneous form of degree d in N + 1 variables: integer
@@ -298,10 +316,9 @@ class Form:
     ``denominator``, the lcm of its coefficients' reduced denominators,
     so equal forms are equal records.  ``field`` is 'rational' or the
     prime p of its coefficients, residues in [0, p) over denominator 1.
-    ``packed`` holds the numerators, each in as many bytes (little-endian
-    two's complement) as the largest needs, and ``coeffs`` reads them out:
-    a record keeps its dense witness, at a third or less of the memory
-    of a tuple of ints."""
+    ``packed`` holds the numerators (:func:`_pack`), and ``coeffs`` reads
+    them out: a record keeps its dense witness, at a third or less of the
+    memory of a tuple of ints."""
 
     ambient_dim: int
     degree: int
@@ -318,10 +335,7 @@ class Form:
         else:
             den = lcm(*(v.denominator for v in values))
             nums = [v.numerator * (den // v.denominator) for v in values]
-        width = max(c.bit_length() // 8 + 1 for c in nums)
-        return Form(ambient_dim, degree, b"".join(
-            c.to_bytes(width, "little", signed=True) for c in nums),
-            den, field)
+        return Form(ambient_dim, degree, _pack(nums), den, field)
 
     @staticmethod
     def from_dict(ambient_dim, degree, coeffs, field="rational"):
@@ -344,10 +358,8 @@ class Form:
     @property
     def coeffs(self):
         """The numerators, a tuple over the basis."""
-        packed, n = self.packed, self.ambient_dim
-        width = len(packed) // comb(self.degree + n, n)
-        return tuple(int.from_bytes(packed[i:i + width], "little", signed=True)
-                     for i in range(0, len(packed), width))
+        n = self.ambient_dim
+        return _unpack(self.packed, comb(self.degree + n, n))
 
     def terms(self):
         """The nonzero (exponents, coefficient) pairs, in basis order; a
@@ -381,9 +393,20 @@ def form_product(factors):
     return product
 
 
-def multiply_forms(f: Form, g: Form) -> Form:
-    """Product of two forms in the same field mode."""
-    if f.ambient_dim != g.ambient_dim or f.field != g.field:
+def multiply_forms(f, g):
+    """Product of two witnesses: two :class:`Form` in the same field mode,
+    or two :class:`ProductWitness`, whose factors merge unexpanded (equal
+    coefficients add their exponents).  A ProductWitness times a Form is
+    first expanded, and reduced mod p when the Form is mod p."""
+    if f.ambient_dim != g.ambient_dim:
+        raise ValidationError("form modes differ")
+    if isinstance(f, ProductWitness) and isinstance(g, ProductWitness):
+        merged = {}
+        for coeffs, a in f.factors + g.factors:
+            merged[coeffs] = merged.get(coeffs, 0) + a
+        return ProductWitness(f.ambient_dim, tuple(merged.items()))
+    f, g = _expanded(f, g.field), _expanded(g, f.field)
+    if f.field != g.field:
         raise ValidationError("form modes differ")
     out, g_terms = {}, list(g.terms())
     for ea, ca in f.terms():
@@ -393,39 +416,75 @@ def multiply_forms(f: Form, g: Form) -> Form:
     return Form.from_dict(f.ambient_dim, f.degree + g.degree, out, f.field)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ProductWitness:
     """A product prod H_j^(a_j) of linear forms, kept as its factors:
-    ``factors`` is ((integer coefficients of H_j, a_j), ...), each H_j
-    nonzero and each a_j >= 1.  It is an integral form over Q of degree
-    sum a_j; :meth:`expand` writes it out as a :class:`Form`, whose terms
-    a star product of high degree has millions of.  The witness of a k
-    that its star product closes (see alpha_table) is one, with the
-    primitive coefficients of the star's hyperplanes, in their order."""
+    ``ProductWitness(ambient_dim, factors)``, ``factors`` ((integer
+    coefficients of H_j, a_j), ...), each H_j nonzero and each a_j >= 1.
+    It is an integral form over Q of degree sum a_j; :meth:`expand` writes
+    it out as a :class:`Form`, whose terms a product of high degree has
+    millions of.  A record keeps it as a Form keeps its numerators: the
+    exponents, and every coefficient in ``packed`` (:func:`_pack`), which
+    ``factors`` reads out.  The witness of a k that a hyperplane product
+    closes (see alpha_table) is one: with the primitive coefficients of
+    the star's hyperplanes, in their order, on a scheme with a star, and
+    otherwise of the catalog's hyperplanes (primitive, leading entry
+    positive), in catalog order."""
 
     ambient_dim: int
-    factors: tuple
+    exponents: tuple
+    packed: bytes
     field = "rational"
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, ambient_dim, factors):
+        if not factors:
             raise ValidationError("a product needs at least one factor")
-        for coeffs, a in self.factors:
-            if len(coeffs) != self.ambient_dim + 1:
+        for coeffs, a in factors:
+            if len(coeffs) != ambient_dim + 1:
                 raise ValidationError(
                     f"factor {list(coeffs)} is not a linear form in "
-                    f"{self.ambient_dim + 1} variables")
+                    f"{ambient_dim + 1} variables")
+            if not all(isinstance(x, int) for x in coeffs):
+                raise ValidationError(
+                    f"factor {list(coeffs)} has a non-integer coefficient")
             if not any(coeffs):
                 raise ValidationError("a factor is the zero form")
             if a < 1:
                 raise ValidationError(f"factor exponent {a} is below 1")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "exponents", tuple(a for _, a in factors))
+        object.__setattr__(self, "packed", _pack(
+            [x for coeffs, _ in factors for x in coeffs]))
+
+    def __repr__(self):
+        return f"ProductWitness({self.ambient_dim}, {self.factors})"
+
+    @property
+    def factors(self) -> tuple:
+        """((coefficients of H_j, a_j), ...), as given."""
+        n, exponents = self.ambient_dim + 1, self.exponents
+        coeffs = _unpack(self.packed, n * len(exponents))
+        return tuple((coeffs[n * j:n * j + n], a)
+                     for j, a in enumerate(exponents))
 
     @property
     def degree(self) -> int:
-        return sum(a for _, a in self.factors)
+        return sum(self.exponents)
 
     def expand(self) -> Form:
         return form_product(self.factors)
+
+
+def _expanded(form, field):
+    """A :class:`ProductWitness` as a :class:`Form` in ``field``: its
+    integral expansion, reduced mod p when ``field`` is a prime p.  A Form
+    is returned as it is."""
+    if not isinstance(form, ProductWitness):
+        return form
+    out = form.expand()
+    if field == "rational":
+        return out
+    return Form.from_values(out.ambient_dim, out.degree, out.coeffs, field)
 
 
 # -- alpha of symbolic powers --------------------------------------------------
@@ -437,11 +496,12 @@ class AlphaRecord:
     ``field_mode`` is the lane that answered ("modp", or "rational" for
     the rational lane and for an escalated k), and ``primes`` the mod-p
     lane's primes when they ran on this k.  The witness of a searched k is
-    its kernel :class:`Form`, mod the first prime or over Q.  A k that its
-    star product closes (see alpha_table) keeps the lane of the call, has
-    that product as its witness, a :class:`ProductWitness` (rational and
-    integral, never expanded unless asked), and ``primes`` None: no prime
-    confirmed it, so it is never ``escalated``."""
+    its kernel :class:`Form`, mod the first prime or over Q.  A k that a
+    hyperplane product closes (the star's or the catalog's, see
+    alpha_table) keeps the lane of the call, has that product as its
+    witness, a :class:`ProductWitness` (rational and integral, never
+    expanded unless asked), and ``primes`` None: no prime confirmed it, so
+    it is never ``escalated``."""
 
     k: int
     alpha: int = None
@@ -512,31 +572,172 @@ def _kernel_rational(tables, orders, d):
                                 ncols=ncols)[1]
 
 
+# -- hyperplane products: upper bounds by counting orders ----------------------
+
+# Past this many N-subsets of spanning points a scheme gets no catalog.
+_CATALOG_SUBSETS = 4000
+# Search nodes per k before the least-product search gives that k up.
+_PRODUCT_NODES = 2000
+
+
+def _spanning_points(scheme: FatFlatScheme):
+    """Each component's spanning points, as primitive integer vectors."""
+    return [[_primitive(v) for v in c.subspace.basis]
+            for c in scheme.components]
+
+
+def _components_on(h, spans):
+    """The indices of the components that the hyperplane with integer
+    coefficients ``h`` contains: h vanishes at each of their spanning
+    points, in Python ints."""
+    return tuple(i for i, points in enumerate(spans)
+                 if not any(sum(x * y for x, y in zip(h, v)) for v in points))
+
+
+def _hyperplane_through(points):
+    """The hyperplane det(x, v_1, ..., v_N) = 0 through N integer points
+    of P^N, as primitive integer coefficients with a positive leading
+    entry, or None when the points are dependent.  Expanded along x, its
+    coefficients are the signed maximal minors of the v_i, built one row
+    at a time by Laplace expansion along the newest row (the coordinates
+    of v_1 ∧ ... ∧ v_r); they are all 0 iff the v_i are dependent."""
+    n = len(points[0])
+    minors = {(): 1}
+    for r, v in enumerate(points):
+        wedge = {}
+        for cols in combinations(range(n), r + 1):
+            total, sign = 0, 1 - 2 * (r & 1)  # (-1)^(r + i) from i = 0
+            for i, j in enumerate(cols):
+                total += sign * v[j] * minors[cols[:i] + cols[i + 1:]]
+                sign = -sign
+            wedge[cols] = total
+        minors = wedge
+    h = [(1 - 2 * (i & 1)) * minors[tuple(c for c in range(n) if c != i)]
+         for i in range(n)]
+    g = gcd(*h)
+    if not g:
+        return None
+    sign = 1 if next(x for x in h if x) > 0 else -1
+    return tuple(sign * x // g for x in h)
+
+
+def _hyperplane_catalog(spans, n):
+    """[(h, on)]: one hyperplane h through N independent spanning points
+    per maximal set ``on`` of the components it contains, the first found
+    in ``combinations`` order; [] when there are more than
+    ``_CATALOG_SUBSETS`` N-subsets.  A hyperplane whose set lies in
+    another's is left out: swapping it for that one keeps any product
+    covered."""
+    vectors = [v for points in spans for v in points]
+    if comb(len(vectors), n) > _CATALOG_SUBSETS:
+        return []
+    found = {}
+    for chosen in combinations(vectors, n):
+        h = _hyperplane_through(chosen)
+        if h is not None:
+            found.setdefault(_components_on(h, spans), h)
+    sets = [set(on) for on in found]
+    return [(h, on) for (on, h), held in zip(found.items(), sets)
+            if on and not any(held < other for other in sets)]
+
+
+def _least_cover(sets, demand, low, cap):
+    """Counts a_j of the least multiset of ``sets`` (tuples of component
+    indices) that holds each component c at least demand[c] times, of
+    size in [low, cap]; None when there is none, or when the search has
+    spent ``_PRODUCT_NODES`` nodes without finding one.
+
+    Iterative deepening on the size t, a depth-first search at each t.  It
+    branches on the component of largest unmet demand, over the sets that
+    hold it (each cover has one), trying first the sets that hold the most
+    components still short, then the most unmet demand.  It prunes a
+    residual r when r failed with as many sets before, or when a lower
+    bound on its size exceeds the sets left: max(r), and ceil(sum_c r_c /
+    w_c), w_c the most components still short on one set through c (the
+    LP dual y_c = 1/w_c is feasible, as a set holds at most w_c short
+    components)."""
+    through = [[j for j, on in enumerate(sets) if c in on]
+               for c in range(len(demand))]
+    if any(d and not through[c] for c, d in enumerate(demand)):
+        return None
+    scale = lcm(*range(1, max(len(on) for on in sets) + 1))
+    failed, nodes = {}, 0
+
+    def cover(residual, t):
+        nonlocal nodes
+        if not any(residual):
+            return []
+        if failed.get(residual, -1) >= t or nodes >= _PRODUCT_NODES:
+            return None
+        short = [sum(residual[i] > 0 for i in on) for on in sets]
+        dual = sum(r * (scale // max(short[j] for j in through[c]))
+                   for c, r in enumerate(residual) if r)
+        if max(max(residual), -(-dual // scale)) > t:
+            failed[residual] = t
+            return None
+        nodes += 1
+        c = max(range(len(residual)), key=residual.__getitem__)
+        for j in sorted(through[c], key=lambda j: (
+                -short[j], -sum(residual[i] for i in sets[j]))):
+            rest = list(residual)
+            for i in sets[j]:
+                rest[i] -= rest[i] > 0
+            chosen = cover(tuple(rest), t - 1)
+            if chosen is not None:
+                return chosen + [j]
+        failed[residual] = t  # past the budget, the whole search fails
+        return None
+
+    demand = tuple(demand)
+    for t in range(low, cap + 1):
+        chosen = cover(demand, t)
+        if chosen is not None:
+            return [chosen.count(j) for j in range(len(sets))]
+        if nodes >= _PRODUCT_NODES:
+            return None
+    return None
+
+
+def _catalog_products(scheme: FatFlatScheme, records, floors):
+    """{k: the least product of catalog hyperplanes in I^(k), a
+    :class:`ProductWitness`}, for the ks whose search finds one up to
+    their cap (see :func:`_hyperplane_catalog`, :func:`_least_cover`)."""
+    spans = _spanning_points(scheme)
+    catalog = _hyperplane_catalog(spans, scheme.ambient_dim)
+    if not catalog:
+        return {}
+    planes, sets = zip(*catalog)
+    products = {}
+    for record in records:
+        k = record.k
+        counts = _least_cover(sets, [k * c.multiplicity
+                                     for c in scheme.components],
+                              floors[k], record.degree_cap)
+        if counts is not None:
+            products[k] = ProductWitness(scheme.ambient_dim, tuple(
+                (h, a) for h, a in zip(planes, counts) if a))
+    return products
+
+
 def _star_products(scheme: FatFlatScheme, records, floors):
     """{k: the least-degree balanced product prod H_j^(a_j) of the star's
     hyperplanes in I^(k), a :class:`ProductWitness`}, for the ks that have
     one up to their cap.
 
-    The product vanishes to order sum_{H_j ⊇ c} a_j along a component c,
-    so it lies in I^(k) when each c is covered: that sum is >= k*mu_c.
-    H_j contains c when its primitive coefficients vanish at each of c's
-    primitive spanning points, in Python ints.  Balanced: a_j = q + (j < r)
-    for a total T = q*s + r, T taken upward from floors[k]; each a_j only
-    grows with T, so the first covered T is the least.  For the pure star
-    m*S_N(e, s) that is the least degree of any star product, since for a
-    fixed total the e smallest entries sum highest when the entries differ
-    by at most one."""
+    H_j contains a component c when its primitive coefficients vanish at
+    each of c's primitive spanning points (:func:`_components_on`).
+    Balanced: a_j = q + (j < r) for a total T = q*s + r, T taken upward
+    from floors[k]; each a_j only grows with T, so the first covered T is
+    the least.  For the pure star m*S_N(e, s) that is the least degree of
+    any star product, since for a fixed total the e smallest entries sum
+    highest when the entries differ by at most one."""
     star = scheme.star
-    if star is None:
-        return {}
     planes = [_primitive(h.coeffs) for h in star.hyperplanes]
-    covers = []
-    for c in scheme.components:
-        points = [_primitive(v) for v in c.subspace.basis]
-        covers.append(([j for j, h in enumerate(planes)
-                        if not any(sum(x * y for x, y in zip(h, v))
-                                   for v in points)], c.multiplicity))
-    if not all(on for on, _ in covers):
+    spans = _spanning_points(scheme)
+    on = [_components_on(h, spans) for h in planes]
+    covers = [([j for j in range(star.s) if i in on[j]], c.multiplicity)
+              for i, c in enumerate(scheme.components)]
+    if not all(js for js, _ in covers):
         return {}  # a component on no star hyperplane: no product
     products = {}
     for record in records:
@@ -544,26 +745,43 @@ def _star_products(scheme: FatFlatScheme, records, floors):
         for total in range(floors[k], record.degree_cap + 1):
             q, r = divmod(total, star.s)
             a = [q + (j < r) for j in range(star.s)]
-            if all(sum(a[j] for j in on) >= k * mu for on, mu in covers):
+            if all(sum(a[j] for j in js) >= k * mu for js, mu in covers):
                 products[k] = ProductWitness(scheme.ambient_dim, tuple(
                     (h, aj) for h, aj in zip(planes, a) if aj))
                 break
     return products
 
 
-def _first_kernels(tables, records, orders, floors, uppers, kernel_at):
+def _hyperplane_products(scheme: FatFlatScheme, records, floors):
+    """{k: a product of hyperplanes in I^(k)}: the star's balanced products
+    on a scheme with a star, the catalog's least products otherwise.
+
+    A product prod H_j^(a_j) vanishes to order sum_{H_j ⊇ c} a_j along a
+    component c (order along a linear flat is a valuation, and a
+    hyperplane has order 1 along each flat it contains), so it lies in
+    I^(k) when each c is covered: that sum is >= k*mu_c.  That proves
+    alpha(I^(k)) <= its degree, whichever product it is."""
+    if scheme.star is not None:
+        return _star_products(scheme, records, floors)
+    return _catalog_products(scheme, records, floors)
+
+
+def _first_kernels(make_tables, records, orders, floors, uppers,
+                   kernel_at):
     """{k: the least degree d with a kernel vector, and that vector}: one
     upward scan per k from its proved lower bound, each k starting past
-    the previous (see alpha_table), so the degrees asked of ``tables``
-    only grow.  The scan stops below uppers[k], the degree of a proved
-    witness, giving (uppers[k], None) when full rank reaches it, and past
-    the cap, giving (None, None)."""
-    found, j, b = {}, 0, 0  # alpha(I^(0)) = 0
+    the previous (see alpha_table), so the degrees asked of the tables
+    only grow.  ``make_tables()`` makes them at the first elimination, so
+    a search that eliminates nothing makes none.  The scan stops below
+    uppers[k], the degree of a proved witness, giving (uppers[k], None)
+    when full rank reaches it, and past the cap, giving (None, None)."""
+    found, j, b, tables = {}, 0, 0, None  # alpha(I^(0)) = 0
     for record in records:
         k, kernel = record.k, None
         top = uppers.get(k, record.degree_cap + 1)
         d = max(floors[k], b + k - j)  # proved: alpha(I^(k)) >= d
         while d < top:
+            tables = tables or make_tables()
             kernel = kernel_at(tables, orders[k], d)
             if kernel is not None:
                 break
@@ -588,14 +806,19 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     matrix reduces an integer matrix with the Q row space, so rank mod p
     <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.
 
-    A scheme with a star brackets k from above too: the least balanced
-    product u of the star's hyperplanes in I^(k) (``_star_products``) is
-    an exact witness of alpha(I^(k)) <= u, by counting orders alone.  The
-    scan stops at u - 1; full rank up to there proves alpha(I^(k)) = u,
-    and the product, a :class:`ProductWitness` of each hyperplane's
-    primitive integer coefficients, is the record's witness, with no
-    second prime and no run over Q.  A kernel below u takes the path
-    above.  Two facts prove start:
+    A product of hyperplanes in I^(k) brackets k from above
+    (``_hyperplane_products``): it is an exact witness of alpha(I^(k)) <=
+    u, its degree, by counting orders alone.  On a scheme with a star it
+    is the least balanced product of the star's hyperplanes.  On any other
+    it is the least product of a catalog, made once per call, of the
+    hyperplanes through N independent spanning points of the components,
+    one per maximal set of components they contain; a search with a node
+    budget finds it, and a k whose search runs out has none.  The scan
+    stops at u - 1; full rank up to there proves alpha(I^(k)) = u, and the
+    product, a :class:`ProductWitness` of each hyperplane's primitive
+    integer coefficients, is the record's witness, with no second prime
+    and no run over Q.  A kernel below u takes the path above.  Two facts
+    prove start:
 
     - The floor.  floor = max(max(orders), ceil(k*m*s/e)) when
       ``scheme.star_core`` = (e, s, m), and max(orders) otherwise.  No
@@ -608,7 +831,9 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
       (Euler), of order >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
       alpha(I^(k)) >= alpha(I^(k-1)) + 1 >= alpha(I^(j)) + k - j.
 
-    Degrees only go up, so each flat's table is built once per prime.
+    Degrees only go up, so each flat's table is built once per prime,
+    and each prime's tables are made at its first elimination: a call
+    whose every k its products close makes none.
     """
     if not ks or any(j >= k for j, k in zip([0, *ks], ks)):
         raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
@@ -624,30 +849,33 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     e, s, m = scheme.star_core or (1, 0, 0)
     floors = {k: max(*kappas, -(-k * m * s // e))  # ceil(k*m*s/e), or 0
               for k, kappas in orders.items()}
-    products = _star_products(scheme, records, floors)
+    products = _hyperplane_products(scheme, records, floors)
     uppers = {k: w.degree for k, w in products.items()}
     subs = [c.subspace for c in scheme.components]
     found = {}
     if mode == "modp":
-        found = _first_kernels([AdaptedTablesModP(sub, p1) for sub in subs],
-                               records, orders, floors, uppers, _kernel_modp)
-        tables = [AdaptedTablesModP(sub, p2) for sub in subs]
+        found = _first_kernels(
+            lambda: [AdaptedTablesModP(sub, p1) for sub in subs],
+            records, orders, floors, uppers, _kernel_modp)
+        tables = None
         for record in records:
             k, (d, kernel) = record.k, found[record.k]
             if d is not None and kernel is None:
-                continue  # the star product proves d; no prime confirms it
+                continue  # the product proves d; no prime confirms it
             record.primes = (p1, p2)
-            if kernel is not None and \
-               _kernel_modp(tables, orders[k], d) is None:
+            if kernel is None:
+                continue  # unresolved below the cap
+            tables = tables or [AdaptedTablesModP(sub, p2) for sub in subs]
+            if _kernel_modp(tables, orders[k], d) is None:
                 # alpha >= d is proved, and full rank mod p2 at d proves alpha > d.
                 record.field_mode = "rational"
                 floors[k] = d + 1
         del tables
     redo = [r for r in records if r.field_mode == "rational"]
     if redo:
-        found.update(_first_kernels([AdaptedTablesQQ(sub) for sub in subs],
-                                    redo, orders, floors, uppers,
-                                    _kernel_rational))
+        found.update(_first_kernels(
+            lambda: [AdaptedTablesQQ(sub) for sub in subs],
+            redo, orders, floors, uppers, _kernel_rational))
     for record in records:
         d, kernel = found[record.k]
         if d is None:

@@ -13,7 +13,7 @@ from .errors import ValidationError
 
 # The search's two primes, the largest below linalg._PRIME_BOUND = 2^23:
 # the first searches, the second confirms each kernel it finds.  A k that
-# a star product closes needs neither to confirm it (see
+# a hyperplane product closes needs neither to confirm it (see
 # interpolation.alpha_table).
 DEFAULT_PRIMES = (8388593, 8388587)
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from itertools import combinations_with_replacement
+from math import comb, gcd, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from fatflats.interpolation import (
     form_product,
     membership,
     monomial_basis,
+    monomial_eval,
     multiply_forms,
     require_alpha,
 )
 from fatflats.linalg import rank_kernel_modp, rank_kernel_rational
 from fatflats.projective import LinForm, Subspace, point_subspace
 from fatflats.scalars import DEFAULT_PRIMES
+from fatflats.serialization import load_json, scheme_from_dict
 from fatflats.schemes import (
     FatComponent,
     FatFlatScheme,
@@ -38,6 +42,8 @@ from fatflats.schemes import (
     star_configuration,
 )
 from fatflats.verification import _theorem_a_instance
+
+DATA = Path(__file__).parent / "data"
 
 # Test ids by the prime's role, so a change of the field primes renames no
 # test.
@@ -430,29 +436,48 @@ def test_cap_behavior(star25):
         alpha_symbolic(scheme, 1, mode="padic")
 
 
+# Five points of P^2 with no three collinear: alpha(I^(k)) = 2k (the conic
+# to the k-th power), while a product of lines, each through at most two
+# of them, needs degree 3 at k = 1.  No hyperplane product closes their k,
+# so they keep the kernel search and its primes.
+FIVE_POINTS = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 3, 1))
+
+
 def test_bad_prime_replacement():
     # The adapted coordinate change for (1, -p1, 0) has an entry with
     # denominator p1.  The mod-p tables reduce the integral change, so p1
     # itself still runs: no prime is replaced.
     p1 = DEFAULT_PRIMES[0]
-    config = FatPointsP2([(1, -p1, 0), (1, 0, 1)], [1, 1])
+    points = ((1, -p1, 0),) + FIVE_POINTS[1:]
+    config = FatPointsP2(points, [1] * 5)
     scheme = config.to_scheme()
     record = alpha_symbolic(scheme, 1)
-    assert record.alpha == 1
+    assert record.alpha == 2
     assert record.primes == DEFAULT_PRIMES
     assert not record.escalated and record.field_mode == "modp"
     assert record.witness.field == p1
     assert membership(record.witness, scheme, 1)
-    # The line -p1*x - y + p1*z through both points, reduced mod p1.
-    assert record.witness.as_dict() == {(0, 1, 0): 1}
+    # The conic through the five points, with integer coefficients,
+    # reduced mod p1: xy - xz - yz + z^2.
+    rows = [[monomial_eval(pt, m) for m in monomial_basis(3, 2)]
+            for pt in points]
+    _, conic = rank_kernel_rational(rows)
+    conic = [int(c * lcm(*(x.denominator for x in conic))) for c in conic]
+    assert record.witness.as_dict() == {(1, 1, 0): 1, (1, 0, 1): p1 - 1,
+                                        (0, 1, 1): p1 - 1, (0, 0, 2): 1}
+    w, i = record.witness.coeffs, monomial_basis(3, 2).index((1, 1, 0))
+    assert conic[i] % p1
+    assert all((w[j] * conic[i] - conic[j] * w[i]) % p1 == 0
+               for j in range(len(w)))
 
 
 @pytest.mark.parametrize("q", DEFAULT_PRIMES, ids=PRIME_IDS)
 def test_second_prime_confirms_or_escalates(q, monkeypatch):
-    # (0, q, 1) reduces to (0, 0, 1) mod q, so mod q a line passes through
-    # the three points; over Q they are not collinear and alpha is 2.
-    scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, q, 1)],
-                         [1, 1, 1]).to_scheme()
+    # FIVE_POINTS with y scaled by q: mod q the line y = 0 passes through
+    # the five points; over Q no three are collinear and alpha is 2, below
+    # their least line product, of degree 3.
+    scheme = FatPointsP2([(x, q * y, z) for x, y, z in FIVE_POINTS],
+                         [1] * 5).to_scheme()
     rational_degrees = []
     kernel_rational = interpolation._kernel_rational
 
@@ -473,7 +498,8 @@ def test_second_prime_confirms_or_escalates(q, monkeypatch):
         assert rational_degrees == [2]
     else:
         # The first prime is lucky; the second only eliminates at degree
-        # 2, where a conic exists mod q too.
+        # 2, where a conic exists mod q too (the points reduce to three on
+        # one line).
         assert not record.escalated and record.field_mode == "modp"
         assert rational_degrees == []
 
@@ -536,10 +562,11 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
     take their rows in closed form and build no table degree.  The six
     lines of S_3(2,4) for k <= 4 (floor 2k, products of degree 3, 4, 7,
     8): the first prime eliminates 2 | - | 6 | -, and each line builds
-    its first-prime table only, at degrees 1..6 in order.  A line and two
-    points in P^3 for k <= 3 (no star_core): the line gets one table per
-    prime, built upward one degree at a time up to the last degree that
-    prime eliminates; the points build none."""
+    its first-prime table only, at degrees 1..6 in order.  A double line
+    and six points in P^3 for k <= 3 (no star, and no hyperplane product
+    closes any of these k): the line gets one table per prime, built
+    upward one degree at a time up to the last degree that prime
+    eliminates; the points build none."""
     scheme = star25
     eliminated, built = search_log
     table = alpha_table(scheme, range(1, 5))
@@ -558,21 +585,30 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
     for line in lines:
         assert [d for t, d in built if id(t) == line] == list(range(1, 7))
 
-    line = Subspace(3, [LinForm([1, 2, -1, 3]), LinForm([0, 1, 4, -2])])
-    scheme = FatFlatScheme(3, (
-        FatComponent(line, 2),
-        FatComponent(point_subspace((1, -2, 0, 1)), 1),
-        FatComponent(point_subspace((3, 1, Fraction(1, 2), 1)), 2)))
+    scheme = _line_and_six_points(2, (1, 2, 1, 2, 1, 2))
     eliminated.clear()
     built.clear()
     table = alpha_table(scheme, (1, 2, 3))
-    assert [r.alpha for r in table] == [3, 5, 8]
-    assert [d for p, d in eliminated if p == p1] == list(range(2, 9))
-    assert [d for p, d in eliminated if p == p2] == [3, 5, 8]
+    assert [r.alpha for r in table] == [4, 8, 11]
+    assert all(isinstance(r.witness, Form) for r in table)
+    assert [d for p, d in eliminated if p == p1] == list(range(2, 12))
+    assert [d for p, d in eliminated if p == p2] == [4, 8, 11]
     assert all(t.point is None for t, _ in built)
     for p in DEFAULT_PRIMES:
         assert len({id(t) for t, _ in built if t.p == p}) == 1
-        assert [d for t, d in built if t.p == p] == list(range(1, 9))
+        assert [d for t, d in built if t.p == p] == list(range(1, 12))
+
+
+def _line_and_six_points(line_multiplicity, multiplicities):
+    """A line of P^3 with six points off it.  Its catalog planes each hold
+    the line and one point, or three points, so at k = 1 with every
+    multiplicity 1 a plane product has degree 3, above alpha = 2."""
+    line = Subspace(3, [LinForm([1, 2, -1, 3]), LinForm([0, 1, 4, -2])])
+    points = ((1, -2, 0, 1), (3, 1, Fraction(1, 2), 1), (2, 5, -3, 1),
+              (-1, 4, 2, 1), (0, 3, 7, 1), (5, -2, 1, 1))
+    return FatFlatScheme(3, (FatComponent(line, line_multiplicity),) + tuple(
+        FatComponent(point_subspace(pt), mu)
+        for pt, mu in zip(points, multiplicities)))
 
 
 def test_a_true_star_floor_keeps_every_record(star25):
@@ -602,9 +638,10 @@ def test_a_true_star_floor_keeps_every_record(star25):
 
 def test_rational_points_build_no_table(monkeypatch):
     """Over Q a point takes its Hasse rows too: the rational alpha table
-    of Theorem B's case c and the exact membership of its witnesses build
-    no table degree and no coordinate change.  A line in P^3 still
-    expands its coordinate change, one table degree at a time."""
+    of five points with no three collinear (eliminated at each degree,
+    since no line product closes their k) and the exact membership of its
+    witnesses build no table degree and no coordinate change.  A line in
+    P^3 still expands its coordinate change, one table degree at a time."""
     built, changed = [], []
     build_next = AdaptedTablesQQ._build_next
     integral_change = interpolation._integral_change
@@ -619,16 +656,16 @@ def test_rational_points_build_no_table(monkeypatch):
 
     monkeypatch.setattr(AdaptedTablesQQ, "_build_next", counting)
     monkeypatch.setattr(interpolation, "_integral_change", recording)
-    scheme = build_theorem_b_family("c").to_scheme()
+    scheme = FatPointsP2(FIVE_POINTS, [1] * 5).to_scheme()
     table = alpha_table(scheme, range(1, 4), mode="rational")
-    assert [r.alpha for r in table] == [3, 5, 7]
+    assert [r.alpha for r in table] == [2, 4, 6]
+    assert all(isinstance(r.witness, Form) for r in table)
     assert all(membership(r.witness, scheme, r.k) for r in table)
     assert built == [] and changed == []
 
-    line = Subspace(3, [LinForm([1, 2, -1, 3]), LinForm([0, 1, 4, -2])])
-    scheme = FatFlatScheme(3, (
-        FatComponent(line, 2), FatComponent(point_subspace((1, -2, 0, 1)), 1)))
+    scheme = _line_and_six_points(1, [1] * 6)
     (record,) = alpha_table(scheme, [1], mode="rational")
+    assert record.alpha == 2 and isinstance(record.witness, Form)
     assert membership(record.witness, scheme, 1)
     assert len(changed) == 2 and not any(sub.is_point for sub in changed)
     assert [d for _, d in built] == [1, 2] * 2
@@ -665,15 +702,17 @@ _PRODUCT_SCHEMES = {
 
 
 @pytest.mark.parametrize("name", sorted(_PRODUCT_SCHEMES))
-def test_star_product_is_sound_and_tight(name):
+def test_star_product_is_sound_and_tight(name, monkeypatch):
     """The star product gives the alpha table of the same components
-    without their star, which takes the search with no upper bracket, in
-    both lanes.  Each product witness keeps its factors, expands to an
-    integral form and passes exact membership (over Q, up to the rational
-    lane's largest k; the mod-p lane's witness at such k is the same
-    product)."""
+    without their star, which takes the search with no upper bracket (its
+    catalog products are switched off here), in both lanes.  Each product
+    witness keeps its factors, expands to an integral form and passes
+    exact membership (over Q, up to the rational lane's largest k; the
+    mod-p lane's witness at such k is the same product)."""
     scheme, k_modp, k_rational = _PRODUCT_SCHEMES[name]
     starless = FatFlatScheme(scheme.ambient_dim, scheme.components)
+    monkeypatch.setattr(interpolation, "_catalog_products",
+                        lambda *args: {})
     tables = {}
     for mode, k_max in (("modp", k_modp), ("rational", k_rational)):
         ks = range(1, k_max + 1)
@@ -689,6 +728,8 @@ def test_star_product_is_sound_and_tight(name):
     for modp, rational in zip(tables["modp"], tables["rational"]):
         assert modp.witness == rational.witness
         assert membership(rational.witness, scheme, rational.k)
+
+
 @pytest.mark.parametrize("q", DEFAULT_PRIMES, ids=PRIME_IDS)
 def test_alpha_table_matches_one_k_searches(q):
     """The table gives each k the record of its own search from max(orders),
@@ -734,9 +775,187 @@ def test_product_membership_matches_expansion(name):
 def test_product_witness_validates_its_factors():
     ProductWitness(2, (((1, 0, 0), 2),))
     for factors in ((), (((1, 0), 1),), (((0, 0, 0), 1),),
-                    (((1, 0, 0), 0),)):
+                    (((1, 0, 0), 0),), (((Fraction(1, 2), 0, 0), 1),)):
         with pytest.raises(ValidationError):
             ProductWitness(2, factors)
     with pytest.raises(ValidationError, match="ambient dimension"):
         membership(ProductWitness(3, (((1, 0, 0, 0), 1),)),
                    star_configuration(2, 2, 4, seed=1), 1)
+
+
+# -- hyperplane products without a star ---------------------------------------
+
+def test_hyperplane_through_points():
+    """N independent integer points of P^N span one hyperplane: primitive,
+    with a positive leading entry, vanishing at each point; dependent
+    points give None."""
+    rng = random.Random(3)
+    spanned = 0
+    for n in (2, 3, 4):
+        for _ in range(20):
+            points = [tuple(rng.randint(-2, 2) for _ in range(n + 1))
+                      for _ in range(n)]
+            h = interpolation._hyperplane_through(points)
+            if rank_kernel_rational(points)[0] < n:
+                assert h is None
+                continue
+            spanned += 1
+            assert all(sum(x * y for x, y in zip(h, v)) == 0 for v in points)
+            assert gcd(*h) == 1 and next(x for x in h if x) > 0
+    assert spanned > 30
+    assert interpolation._hyperplane_through([(1, 2, 3), (-2, -4, -6)]) is None
+    assert interpolation._hyperplane_through([(1, 0, 0), (0, 1, 0)]) == \
+        (0, 0, 1)
+
+
+def test_catalog_keeps_one_hyperplane_per_maximal_set():
+    """Four points of P^2, the first three on the line y = 0: the catalog
+    has that line once (three pairs span it) and one line through the
+    fourth point and each other one; no line holds a set inside another's."""
+    scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (3, 0, 1), (0, 2, 1)],
+                         [1] * 4).to_scheme()
+    spans = interpolation._spanning_points(scheme)
+    catalog = interpolation._hyperplane_catalog(spans, 2)
+    assert sorted(on for _, on in catalog) == [(0, 1, 2), (0, 3), (1, 3),
+                                               (2, 3)]
+    for h, on in catalog:
+        assert interpolation._components_on(h, spans) == on
+    assert dict((on, h) for h, on in catalog)[(0, 1, 2)] == (0, 1, 0)
+
+
+def test_least_cover_is_least():
+    """Against brute force over every multiset of sets: the least size of
+    a cover, or None when some demanded component is on no set."""
+    rng = random.Random(8)
+    for _ in range(40):
+        ncomp = rng.randint(2, 5)
+        sets = sorted({tuple(sorted(rng.sample(range(ncomp),
+                                               rng.randint(1, ncomp))))
+                       for _ in range(rng.randint(1, 4))})
+        demand = [rng.randint(0, 3) for _ in range(ncomp)]
+        counts = interpolation._least_cover(sets, demand, 0, 9)
+        least = next((t for t in range(10) for chosen in
+                      combinations_with_replacement(range(len(sets)), t)
+                      if all(sum(c in sets[j] for j in chosen) >= d
+                             for c, d in enumerate(demand))), None)
+        if least is None:
+            assert counts is None
+            continue
+        assert sum(counts) == least
+        assert all(sum(a for on, a in zip(sets, counts) if c in on) >= d
+                   for c, d in enumerate(demand))
+
+
+def _seeded_flat_schemes():
+    """Seeded schemes without a star: points of P^2 with small coordinates
+    (so some lie on one line), and points and lines of P^3."""
+    rng = random.Random(26)
+    schemes = []
+    while len(schemes) < 12:
+        n = 2 if len(schemes) < 6 else 3
+        lines = 0 if n == 2 else 1 + len(schemes) % 2
+        comps = []
+        try:
+            for i in range(rng.randint(3, 7) if n == 2 else lines + 3):
+                if i < lines:
+                    sub = Subspace(3, [LinForm([rng.randint(-3, 3)
+                                                for _ in range(4)])
+                                       for _ in range(2)])
+                else:
+                    sub = point_subspace(tuple(rng.randint(-3, 3)
+                                               for _ in range(n)) + (1,))
+                comps.append(FatComponent(sub, rng.randint(1, 3 - n + 1)))
+            schemes.append(FatFlatScheme(n, tuple(comps)))
+        except (ValidationError, ValueError):
+            continue
+    return schemes
+
+
+@pytest.mark.parametrize("mode,k_max", [("modp", 3), ("rational", 2)])
+def test_catalog_products_match_the_plain_search(mode, k_max, monkeypatch):
+    """On seeded starless schemes, alpha_table with its hyperplane
+    products equals the search with no product (``_hyperplane_products``
+    switched off): every alpha, and every record that a kernel closed,
+    field, primes and witness included.  Each product witness passes
+    membership, and at degree <= 6 its expansion passes Form membership
+    too.  Some k close by a product, some by a kernel."""
+    ks = range(1, k_max + 1)
+    schemes = _seeded_flat_schemes()
+    tables = [alpha_table(scheme, ks, mode=mode) for scheme in schemes]
+    monkeypatch.setattr(interpolation, "_hyperplane_products",
+                        lambda *args: {})
+    kinds = set()
+    for scheme, table in zip(schemes, tables):
+        plain = alpha_table(scheme, ks, mode=mode)
+        assert [r.alpha for r in table] == [r.alpha for r in plain]
+        for r, q in zip(table, plain):
+            kinds.add(type(r.witness))
+            if isinstance(r.witness, Form):
+                assert r == q
+                continue
+            assert r.primes is None and r.field_mode == mode
+            assert r.witness.degree == r.alpha
+            assert membership(r.witness, scheme, r.k)
+            if r.alpha <= 6:
+                assert membership(r.witness.expand(), scheme, r.k)
+    assert kinds == {Form, ProductWitness}
+
+
+def test_multiply_forms_across_witness_kinds():
+    """Two products merge their factors unexpanded; a product times a Form
+    is the expanded product times it, reduced mod p for a Form mod p, in
+    either order."""
+    p = DEFAULT_PRIMES[0]
+    f = ProductWitness(2, (((1, 0, 0), 2), ((0, 1, -1), 1)))
+    g = ProductWitness(2, (((0, 1, -1), 2), ((1, 1, 1), 1)))
+    fg = multiply_forms(f, g)
+    assert isinstance(fg, ProductWitness)
+    assert fg.factors == (((1, 0, 0), 2), ((0, 1, -1), 3), ((1, 1, 1), 1))
+    assert fg.expand() == multiply_forms(f.expand(), g.expand())
+
+    h = Form.from_dict(2, 1, {(0, 0, 1): Fraction(1, 2), (1, 0, 0): -3})
+    assert multiply_forms(f, h) == multiply_forms(h, f) == \
+        multiply_forms(f.expand(), h)
+    assert multiply_forms(f, h).denominator == 2
+
+    h_p = Form.from_dict(2, 1, {(0, 0, 1): 3, (0, 1, 0): p - 2}, field=p)
+    f_p = Form.from_values(2, 3, f.expand().coeffs, p)
+    assert any(c < 0 for c in f.expand().coeffs)
+    assert multiply_forms(f, h_p) == multiply_forms(h_p, f) == \
+        multiply_forms(f_p, h_p)
+    assert multiply_forms(f, h_p).field == p
+
+    with pytest.raises(ValidationError):
+        multiply_forms(f, ProductWitness(3, (((1, 0, 0, 0), 1),)))
+    with pytest.raises(ValidationError):
+        multiply_forms(h, h_p)
+
+
+def test_alpha_table_makes_tables_on_first_use(monkeypatch):
+    """Each prime's tables are made at its first elimination.  On
+    ``star_2_2_5.json`` for k <= 4 the first prime eliminates at degrees 3
+    and 8 (see test_alpha_table_builds_each_table_once), so each of the ten
+    points gets one first-prime table, and the star products close every
+    k, so no second-prime table is made.  On 2*S_4(4,5) for k <= 4 the
+    products close every k at its star floor: no table at all, in either
+    lane."""
+    made = []
+    for cls in (AdaptedTablesModP, AdaptedTablesQQ):
+        init = cls.__init__
+
+        def counting(self, *args, init=init):
+            init(self, *args)
+            made.append(self.p)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    scheme = scheme_from_dict(load_json(DATA / "star_2_2_5.json"))
+    table = alpha_table(scheme, range(1, 5))
+    assert [r.alpha for r in table] == [4, 5, 9, 10]
+    assert made == [DEFAULT_PRIMES[0]] * 10
+
+    made.clear()
+    target = build_rational_target(4, 10)
+    for mode in ("modp", "rational"):
+        table = alpha_table(target, range(1, 5), mode=mode)
+        assert [r.alpha for r in table] == [3, 5, 8, 10]
+    assert made == []

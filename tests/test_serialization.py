@@ -17,7 +17,7 @@ from fatflats.projective import (
     random_point_on,
 )
 from fatflats.schemes import (
-    FatFlatScheme,
+    FatPointsP2,
     build_theorem_a,
     build_theorem_b_family,
 )
@@ -136,11 +136,13 @@ def test_product_witness_roundtrip(star25):
     assert alpha_record_to_dict(record)["witness"] == data
 
 
-def test_modp_forms_are_not_serialized(star25):
-    # Without its star the scheme has no product witness: the mod-p lane
-    # answers with a witness mod p1.
-    scheme = FatFlatScheme(2, star25.components)
+def test_modp_forms_are_not_serialized():
+    # Five points with no three collinear: no line product reaches their
+    # conic's degree 2, so the mod-p lane answers with a witness mod p1.
+    scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1),
+                          (1, 3, 1)], [1] * 5).to_scheme()
     record = alpha_symbolic(scheme, 1)
+    assert record.alpha == 2
     assert record.witness.field != "rational"
     with pytest.raises(ValidationError):
         form_to_dict(record.witness)
