@@ -23,16 +23,41 @@ first elimination.  A product of hyperplanes in I^(k), proved by
 counting its orders, bounds the scan from above: of the star's
 hyperplanes on a scheme with a star, and otherwise of a catalog of the
 hyperplanes spanned by the components' spanning points.  When every
-degree below it has full rank, the product is the answer's rational
-witness, and no second prime runs.  Each F_p condition matrix reduces an
-integer matrix whose rows span the same space over Q as the adapted
-conditions, the matrix the Q lane eliminates.  Its rank mod p is at most
-its rank over Q, so full column rank mod p proves the lower bound.  A
-kernel witness is a :class:`Form`, integer numerators over one
-denominator; a product witness is a :class:`ProductWitness`, the
-product's factors, expanded only on demand.  Membership is exact for
-both: a Form's numerators meet the condition rows, a product adds its
-factors' orders.
+degree below it is empty, the product is the answer's rational witness,
+and no second prime runs.
+
+Most empty degrees are proved by a Bézout peel, with no matrix at all
+(Dumnicki 2006 for lines of P^2; Dumnicki–Harbourne–Szemberg–
+Tutaj-Gasińska, Adv. Math. 252 (2014), for flats of P^N).  Lemma: let
+F != 0 of degree d vanish to order kappa_c along each flat c, and let H
+be a hyperplane on which the restricted system is empty in degree d.
+Then H divides F, and F/H has degree d - 1 and order >= kappa_c - 1
+along each c on H.  Proof: the restriction F|H has degree d and order
+>= kappa_c along c for c in H, and along c ∩ H for c not in H (the
+linear forms of I(c) restrict into I(c ∩ H)); where restrictions
+coincide it owes the largest of their orders, never their sum.  The
+system is empty, so F|H = 0, and H | F; order along a linear flat is a
+valuation, and H has order 1 along each flat it holds.  Emptiness on H
+is proved by the same rule one dimension down, where a flat of
+codimension 1 in H is a hyperplane of H and so divides F|H to its order;
+in P^1, where flats are points, that says the orders of distinct points
+sum past d.  A peel ends, and proves the degree empty, only when d < 0
+or d < the largest order left: a nonzero form of degree d has order
+<= d at every point.  Emptiness is monotone in d, as a form of lower
+degree times a power of a linear form has degree d.  Nothing else is
+ever taken as a proof of emptiness: no genericity argument (random
+coordinates are not general position), no expected or virtual
+dimension, and no curve that is not irreducible (only hyperplanes
+peel).  A degree the peel does not prove is eliminated.
+
+Each F_p condition matrix reduces an integer matrix whose rows span the
+same space over Q as the adapted conditions, the matrix the Q lane
+eliminates.  Its rank mod p is at most its rank over Q, so full column
+rank mod p proves the lower bound.  A kernel witness is a :class:`Form`,
+integer numerators over one denominator; a product witness is a
+:class:`ProductWitness`, the product's factors, expanded only on demand.
+Membership is exact for both: a Form's numerators meet the condition
+rows, a product adds its factors' orders.
 """
 
 from dataclasses import dataclass
@@ -309,7 +334,7 @@ def _unpack(packed: bytes, count: int) -> tuple:
                  for i in range(0, len(packed), width))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Form:
     """A homogeneous form of degree d in N + 1 variables: integer
     numerators over ``monomial_basis(N + 1, d)``, in that order, and
@@ -416,7 +441,7 @@ def multiply_forms(f, g):
     return Form.from_dict(f.ambient_dim, f.degree + g.degree, out, f.field)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class ProductWitness:
     """A product prod H_j^(a_j) of linear forms, kept as its factors:
     ``ProductWitness(ambient_dim, factors)``, ``factors`` ((integer
@@ -489,7 +514,7 @@ def _expanded(form, field):
 
 # -- alpha of symbolic powers --------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class AlphaRecord:
     """alpha(I^(k)) with provenance: witness, field mode, cap status.
 
@@ -594,13 +619,11 @@ def _components_on(h, spans):
                  if not any(sum(x * y for x, y in zip(h, v)) for v in points))
 
 
-def _hyperplane_through(points):
-    """The hyperplane det(x, v_1, ..., v_N) = 0 through N integer points
-    of P^N, as primitive integer coefficients with a positive leading
-    entry, or None when the points are dependent.  Expanded along x, its
-    coefficients are the signed maximal minors of the v_i, built one row
-    at a time by Laplace expansion along the newest row (the coordinates
-    of v_1 ∧ ... ∧ v_r); they are all 0 iff the v_i are dependent."""
+def _wedge(points):
+    """{column r-subset: minor}, the maximal minors of r integer vectors
+    (the coordinates of v_1 ∧ ... ∧ v_r), built one row at a time by
+    Laplace expansion along the newest row; all 0 iff the v_i are
+    dependent."""
     n = len(points[0])
     minors = {(): 1}
     for r, v in enumerate(points):
@@ -612,13 +635,29 @@ def _hyperplane_through(points):
                 sign = -sign
             wedge[cols] = total
         minors = wedge
-    h = [(1 - 2 * (i & 1)) * minors[tuple(c for c in range(n) if c != i)]
-         for i in range(n)]
-    g = gcd(*h)
+    return minors
+
+
+def _normalized(v):
+    """An integer vector divided by its gcd, signed so that its first
+    nonzero entry is positive; None for the zero vector."""
+    g = gcd(*v)
     if not g:
         return None
-    sign = 1 if next(x for x in h if x) > 0 else -1
-    return tuple(sign * x // g for x in h)
+    sign = 1 if next(x for x in v if x) > 0 else -1
+    return tuple(sign * x // g for x in v)
+
+
+def _hyperplane_through(points):
+    """The hyperplane det(x, v_1, ..., v_N) = 0 through N integer points
+    of P^N, as primitive integer coefficients with a positive leading
+    entry, or None when the points are dependent.  Expanded along x, its
+    coefficients are the signed maximal minors of the v_i."""
+    n = len(points[0])
+    minors = _wedge(points)
+    return _normalized([(1 - 2 * (i & 1))
+                        * minors[tuple(c for c in range(n) if c != i)]
+                        for i in range(n)])
 
 
 def _hyperplane_catalog(spans, n):
@@ -698,15 +737,13 @@ def _least_cover(sets, demand, low, cap):
     return None
 
 
-def _catalog_products(scheme: FatFlatScheme, records, floors):
+def _catalog_products(scheme: FatFlatScheme, records, floors, geometry):
     """{k: the least product of catalog hyperplanes in I^(k), a
     :class:`ProductWitness`}, for the ks whose search finds one up to
     their cap (see :func:`_hyperplane_catalog`, :func:`_least_cover`)."""
-    spans = _spanning_points(scheme)
-    catalog = _hyperplane_catalog(spans, scheme.ambient_dim)
-    if not catalog:
+    if not geometry.catalog:
         return {}
-    planes, sets = zip(*catalog)
+    planes, sets = zip(*geometry.catalog)
     products = {}
     for record in records:
         k = record.k
@@ -719,7 +756,7 @@ def _catalog_products(scheme: FatFlatScheme, records, floors):
     return products
 
 
-def _star_products(scheme: FatFlatScheme, records, floors):
+def _star_products(scheme: FatFlatScheme, records, floors, geometry):
     """{k: the least-degree balanced product prod H_j^(a_j) of the star's
     hyperplanes in I^(k), a :class:`ProductWitness`}, for the ks that have
     one up to their cap.
@@ -733,8 +770,7 @@ def _star_products(scheme: FatFlatScheme, records, floors):
     highest when the entries differ by at most one."""
     star = scheme.star
     planes = [_primitive(h.coeffs) for h in star.hyperplanes]
-    spans = _spanning_points(scheme)
-    on = [_components_on(h, spans) for h in planes]
+    on = [_components_on(h, geometry.spans) for h in planes]
     covers = [([j for j in range(star.s) if i in on[j]], c.multiplicity)
               for i, c in enumerate(scheme.components)]
     if not all(js for js, _ in covers):
@@ -752,7 +788,7 @@ def _star_products(scheme: FatFlatScheme, records, floors):
     return products
 
 
-def _hyperplane_products(scheme: FatFlatScheme, records, floors):
+def _hyperplane_products(scheme: FatFlatScheme, records, floors, geometry):
     """{k: a product of hyperplanes in I^(k)}: the star's balanced products
     on a scheme with a star, the catalog's least products otherwise.
 
@@ -762,30 +798,165 @@ def _hyperplane_products(scheme: FatFlatScheme, records, floors):
     I^(k) when each c is covered: that sum is >= k*mu_c.  That proves
     alpha(I^(k)) <= its degree, whichever product it is."""
     if scheme.star is not None:
-        return _star_products(scheme, records, floors)
-    return _catalog_products(scheme, records, floors)
+        return _star_products(scheme, records, floors, geometry)
+    return _catalog_products(scheme, records, floors, geometry)
+
+
+# -- Bézout peeling: empty degrees without elimination -------------------------
+
+def _meet(points, h):
+    """Independent integer vectors spanning span(points) ∩ {h = 0}, for
+    independent ``points`` not all on h: with a_i = h(v_i) != 0, the
+    a_i v_j - a_j v_i for j != i.  [] for a point off h."""
+    values = [sum(x * y for x, y in zip(h, v)) for v in points]
+    i = next(i for i, a in enumerate(values) if a)
+    return [tuple(values[i] * x - a * y for x, y in zip(v, points[i]))
+            for j, (a, v) in enumerate(zip(values, points)) if j != i]
+
+
+class _Space:
+    """The flats of a P^n, each as independent integer spanning vectors,
+    with the geometry :func:`_peels` reads, all in Python ints:
+
+    - ``divisors``: each flat g of codimension 1, with the other flats
+      inside it;
+    - ``hyperplanes``: for each hyperplane H of ``catalog``, the flats on
+      H, the space of H ≅ P^(n-1) (see :func:`_restrict`), and the pairs
+      (flat, flat of H it restricts to, None for all of H)."""
+
+    def __init__(self, spans, n, catalog):
+        self.size = len(spans)
+        self.divisors = []
+        for g, points in enumerate(spans):
+            if len(points) == n:  # in P^1 a point, which holds no other
+                on = _components_on(_hyperplane_through(points), spans) \
+                    if n > 1 else ()
+                self.divisors.append((g, [i for i in on if i != g]))
+        self.hyperplanes = [(on, *_restrict(spans, n, h, on))
+                            for h, on in catalog]
+
+
+def _restrict(spans, n, h, on):
+    """(space of H, pairs) for the hyperplane H = {h = 0} of P^n holding
+    the flats ``on``.  A flat on H is itself; a flat c off H gives c ∩ H,
+    one dimension less (:func:`_meet`), and nothing for a point off H.
+    Coordinates on H drop the first coordinate where h is nonzero, which h
+    determines from the others.  Restrictions that coincide, by their
+    dimension and primitive Plücker vector (:func:`_wedge`; a point and a
+    line of P^2 can share one), are one flat of H.  H's own catalog is
+    that of its flats, in P^2 and up; in P^1 every flat is a divisor."""
+    c = next(i for i, x in enumerate(h) if x)
+    held, keys, flats, pairs = set(on), {}, [], []
+    for i, points in enumerate(spans):
+        cut = points if i in held else _meet(points, h)
+        if not cut:
+            continue
+        cut = [_normalized(v[:c] + v[c + 1:]) for v in cut]
+        if len(cut) == n:
+            pairs.append((i, None))
+            continue
+        key = len(cut), _normalized(list(_wedge(cut).values()))
+        j = keys.setdefault(key, len(flats))
+        if j == len(flats):
+            flats.append(cut)
+        pairs.append((i, j))
+    catalog = _hyperplane_catalog(flats, n - 1) if n > 2 else []
+    return _Space(flats, n - 1, catalog), pairs
+
+
+def _peels(space, orders, d) -> bool:
+    """True when peeling proves that no nonzero form of degree d on the
+    space vanishes to order orders[i] along each flat i; False when it
+    stalls, which proves nothing (the lemma and its proof are in the
+    module docstring).
+
+    Each flat g of codimension 1 divides first, to its order a: d drops
+    by a, and each flat inside g loses a.  Then, while d >= every order,
+    it divides by a catalog hyperplane H whose restricted system is
+    empty in degree d, asked of H's space recursively: d drops by 1, and
+    each flat on H loses 1.  The restricted system gives each flat of H
+    the largest order of the flats restricting to it; a flat that is all
+    of H with order > 0 makes it empty at once.  It ends, proving d
+    empty, when d < the largest order (d < 0 included)."""
+    orders = list(orders)
+    for g, inside in space.divisors:
+        a, orders[g] = orders[g], 0
+        d -= a
+        for i in inside:
+            orders[i] = max(orders[i] - a, 0)
+    hyperplanes, j, stale = space.hyperplanes, 0, 0
+    while d >= max(orders, default=0):
+        if stale == len(hyperplanes):
+            return False
+        on, sub, pairs = hyperplanes[j]
+        restricted, whole = [0] * sub.size, False
+        for i, r in pairs:
+            if r is None:
+                whole = whole or orders[i] > 0
+            elif orders[i] > restricted[r]:
+                restricted[r] = orders[i]
+        if whole or _peels(sub, restricted, d):
+            d, stale = d - 1, 0
+            for i in on:
+                orders[i] = max(orders[i] - 1, 0)
+        else:
+            j, stale = (j + 1) % len(hyperplanes), stale + 1
+    return True
+
+
+class _Geometry:
+    """A scheme's hyperplane geometry, for one alpha_table call: its
+    components' spanning points, its catalog, and the peel's space, each
+    made on first use and kept nowhere else."""
+
+    def __init__(self, scheme: FatFlatScheme):
+        self.n = scheme.ambient_dim
+        self.spans = _spanning_points(scheme)
+
+    @cached_property
+    def catalog(self):
+        return _hyperplane_catalog(self.spans, self.n)
+
+    @cached_property
+    def space(self):
+        return _Space(self.spans, self.n, self.catalog)
+
+    def peels(self, orders, d) -> bool:
+        """True when peeling proves I^(k) empty in degree d, for
+        ``orders`` the components' orders k*mu_i."""
+        return _peels(self.space, orders, d)
 
 
 def _first_kernels(make_tables, records, orders, floors, uppers,
-                   kernel_at):
+                   kernel_at, peels):
     """{k: the least degree d with a kernel vector, and that vector}: one
     upward scan per k from its proved lower bound, each k starting past
     the previous (see alpha_table), so the degrees asked of the tables
     only grow.  ``make_tables()`` makes them at the first elimination, so
     a search that eliminates nothing makes none.  The scan stops below
     uppers[k], the degree of a proved witness, giving (uppers[k], None)
-    when full rank reaches it, and past the cap, giving (None, None)."""
+    when every degree below it is empty, and past the cap, giving (None,
+    None).
+
+    ``peels(orders, d)`` proves degree d empty with no elimination.
+    Emptiness is monotone in d (a form of degree d' < d times a linear
+    form has degree d), so with a witness at u one peel at u - 1 proves
+    every degree below; otherwise the peel is asked before each
+    elimination."""
     found, j, b, tables = {}, 0, 0, None  # alpha(I^(0)) = 0
     for record in records:
         k, kernel = record.k, None
         top = uppers.get(k, record.degree_cap + 1)
         d = max(floors[k], b + k - j)  # proved: alpha(I^(k)) >= d
+        if k in uppers and d < top and peels(orders[k], top - 1):
+            d = top
         while d < top:
-            tables = tables or make_tables()
-            kernel = kernel_at(tables, orders[k], d)
-            if kernel is not None:
-                break
-            d += 1  # full rank at d proves alpha(I^(k)) > d
+            if not peels(orders[k], d):
+                tables = tables or make_tables()
+                kernel = kernel_at(tables, orders[k], d)
+                if kernel is not None:
+                    break
+            d += 1  # an empty degree d proves alpha(I^(k)) > d
         found[k] = (d, kernel) if d <= record.degree_cap else (None, None)
         j, b = k, d
     return found
@@ -801,10 +972,30 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
 
     Each k scans upward from start = max(floor, b + k - j), b the proved
     lower bound of the previous record j, and its answer is the first
-    degree with a kernel vector: full rank at each degree below it, from
-    start on, proves the lower bound over Q, whatever p2 says (each F_p
-    matrix reduces an integer matrix with the Q row space, so rank mod p
-    <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.
+    degree with a kernel vector: each degree below it, from start on, is
+    proved empty over Q, whatever p2 says, by a peel or by full rank (each
+    F_p matrix reduces an integer matrix with the Q row space, so rank
+    mod p <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.
+
+    The peel (see the module docstring, :func:`_peels`) proves a degree
+    d empty with no matrix.  Lemma: if the system restricted to a catalog
+    hyperplane H is empty in degree d, then H divides every form of
+    degree d in I^(k), and the quotient lies in degree d - 1 with each
+    order on H one less.  Proof: F|H has order >= kappa_c along c, or
+    along c ∩ H for c not in H (the largest such order where restrictions
+    coincide), so F|H = 0; order along a linear flat is a valuation.  The
+    restricted system is proved empty by the same rule one dimension
+    down, a flat of codimension 1 in H dividing F|H to its order, and a
+    peel proves d empty only once d < 0 or d < the largest order left.
+    Emptiness is monotone in d (a lower-degree form times a linear form
+    would lie in degree d), so a k with a witness of degree u asks the
+    peel once, at u - 1; every other degree asks it before eliminating.
+    No genericity argument, expected dimension or reducible curve is
+    ever taken as proof: only hyperplanes peel, and only degree counts
+    end a peel.  The peel's geometry, each catalog hyperplane's
+    restricted flats and that hyperplane's own catalog, is built in
+    Python ints at the first degree that would otherwise be eliminated,
+    once per call, and the catalog is shared with the products below.
 
     A product of hyperplanes in I^(k) brackets k from above
     (``_hyperplane_products``): it is an exact witness of alpha(I^(k)) <=
@@ -814,7 +1005,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     hyperplanes through N independent spanning points of the components,
     one per maximal set of components they contain; a search with a node
     budget finds it, and a k whose search runs out has none.  The scan
-    stops at u - 1; full rank up to there proves alpha(I^(k)) = u, and the
+    stops at u - 1; emptiness up to there proves alpha(I^(k)) = u, and the
     product, a :class:`ProductWitness` of each hyperplane's primitive
     integer coefficients, is the record's witness, with no second prime
     and no run over Q.  A kernel below u takes the path above.  Two facts
@@ -833,7 +1024,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
 
     Degrees only go up, so each flat's table is built once per prime,
     and each prime's tables are made at its first elimination: a call
-    whose every k its products close makes none.
+    whose every k its products and peels close makes none.
     """
     if not ks or any(j >= k for j, k in zip([0, *ks], ks)):
         raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
@@ -849,14 +1040,15 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     e, s, m = scheme.star_core or (1, 0, 0)
     floors = {k: max(*kappas, -(-k * m * s // e))  # ceil(k*m*s/e), or 0
               for k, kappas in orders.items()}
-    products = _hyperplane_products(scheme, records, floors)
+    geometry = _Geometry(scheme)
+    products = _hyperplane_products(scheme, records, floors, geometry)
     uppers = {k: w.degree for k, w in products.items()}
     subs = [c.subspace for c in scheme.components]
     found = {}
     if mode == "modp":
         found = _first_kernels(
             lambda: [AdaptedTablesModP(sub, p1) for sub in subs],
-            records, orders, floors, uppers, _kernel_modp)
+            records, orders, floors, uppers, _kernel_modp, geometry.peels)
         tables = None
         for record in records:
             k, (d, kernel) = record.k, found[record.k]
@@ -875,7 +1067,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     if redo:
         found.update(_first_kernels(
             lambda: [AdaptedTablesQQ(sub) for sub in subs],
-            redo, orders, floors, uppers, _kernel_rational))
+            redo, orders, floors, uppers, _kernel_rational, geometry.peels))
     for record in records:
         d, kernel = found[record.k]
         if d is None:
@@ -896,10 +1088,19 @@ def alpha_symbolic(scheme: FatFlatScheme, k: int, mode: str = "modp",
 
 
 def _product_order(product: ProductWitness, sub: Subspace) -> int:
-    """ord_L(prod H_j^(a_j)) = sum_j a_j ord_L(H_j) along L = ``sub``."""
-    rows = AdaptedTablesQQ(sub).block(1, 1)
-    return sum(a for coeffs, a in product.factors
-               if not rows.dot(np.array(coeffs, dtype=object)).any())
+    """ord_L(prod H_j^(a_j)) = sum_j a_j ord_L(H_j) along L = ``sub``: H_j
+    has order 1 when appending it to L's defining forms leaves their rank
+    unchanged, and 0 otherwise.  The forms are in reduced echelon form, so
+    as integer rows each is nonzero at its own pivot and 0 at the others':
+    clearing H_j's entry at each pivot, fraction-free, leaves 0 exactly
+    when H_j lies in their span."""
+    rows = [(_primitive(f.coeffs), p) for f, p in zip(sub.forms, sub.pivots)]
+    order = 0
+    for h, a in product.factors:
+        for row, p in rows:
+            h = [row[p] * x - h[p] * y for x, y in zip(h, row)]
+        order += a * (not any(h))
+    return order
 
 
 def require_alpha(record: AlphaRecord) -> int:
@@ -918,10 +1119,10 @@ def membership(form, scheme: FatFlatScheme, k: int) -> bool:
     the order ord_L(F) = max{kappa : F in I(L)^kappa} is a valuation (in
     adapted coordinates it is the least degree in w_0..w_{e-1} of F's
     terms), so the product is in I(L)^kappa iff sum_j a_j ord_L(H_j) >=
-    kappa.  A nonzero linear form has order 1 along L when L's order-1
-    rows in degree 1 annihilate it (for a point, its value there), and 0
-    otherwise; those rows come from the tables that check a Form, not
-    from the search's own test of which hyperplanes hold a component."""
+    kappa.  A nonzero linear form has order 1 along L when it lies in the
+    span of L's defining forms, and 0 otherwise (:func:`_product_order`):
+    an exact test on L's own forms, not the search's test of which
+    hyperplanes hold a component's spanning points."""
     if form.ambient_dim != scheme.ambient_dim:
         raise ValidationError("ambient dimension mismatch")
     if isinstance(form, ProductWitness):

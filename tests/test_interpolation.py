@@ -40,6 +40,7 @@ from fatflats.schemes import (
     build_theorem_b_family,
     scale_multiplicities,
     star_configuration,
+    symbolic_multiplicities,
 )
 from fatflats.verification import _theorem_a_instance
 
@@ -471,13 +472,22 @@ def test_bad_prime_replacement():
                for j in range(len(w)))
 
 
-@pytest.mark.parametrize("q", DEFAULT_PRIMES, ids=PRIME_IDS)
-def test_second_prime_confirms_or_escalates(q, monkeypatch):
-    # FIVE_POINTS with y scaled by q: mod q the line y = 0 passes through
-    # the five points; over Q no three are collinear and alpha is 2, below
-    # their least line product, of degree 3.
-    scheme = FatPointsP2([(x, q * y, z) for x, y, z in FIVE_POINTS],
-                         [1] * 5).to_scheme()
+def _no_peel(monkeypatch):
+    """Switch the peel off: alpha_table then eliminates at every degree it
+    scans, as it did before the peel."""
+    monkeypatch.setattr(interpolation, "_peels", lambda *args: False)
+
+
+def _scaled_five_points(q):
+    """FIVE_POINTS with y scaled by q: mod q the line y = 0 passes through
+    the five points; over Q no three are collinear and alpha is 2, below
+    their least line product, of degree 3."""
+    return FatPointsP2([(x, q * y, z) for x, y, z in FIVE_POINTS],
+                       [1] * 5).to_scheme()
+
+
+def _count_rational_degrees(monkeypatch):
+    """The degrees at which the Q lane eliminates, recorded from now on."""
     rational_degrees = []
     kernel_rational = interpolation._kernel_rational
 
@@ -486,6 +496,16 @@ def test_second_prime_confirms_or_escalates(q, monkeypatch):
         return kernel_rational(tables, orders, d)
 
     monkeypatch.setattr(interpolation, "_kernel_rational", counting)
+    return rational_degrees
+
+
+@pytest.mark.parametrize("q", DEFAULT_PRIMES, ids=PRIME_IDS)
+def test_second_prime_confirms_or_escalates(q, monkeypatch):
+    # With the peel off, the first prime eliminates at degree 1, where a
+    # bad prime errs (test_peel_removes_the_escalation has the peel on).
+    scheme = _scaled_five_points(q)
+    rational_degrees = _count_rational_degrees(monkeypatch)
+    _no_peel(monkeypatch)
     record = alpha_symbolic(scheme, 1)
     assert record.alpha == 2
     assert membership(record.witness, scheme, 1)
@@ -553,11 +573,14 @@ def search_log(monkeypatch):
     return eliminated, built
 
 
-def test_alpha_table_builds_each_table_once(star25, search_log):
-    """S_2(2,5) for k <= 4: each k starts past the previous answer and at
-    its star floor ceil(5k/2) (its star_core is (2, 5, 1)), and stops below
-    its balanced line product, of degree 4, 5, 9, 10.  So the first prime
-    eliminates only 3 | - | 8 | -, where it finds full rank, the products
+def test_alpha_table_builds_each_table_once(star25, search_log,
+                                            monkeypatch):
+    """With the peel off (it proves every degree below these answers
+    empty, and no table is made).  S_2(2,5) for k <= 4: each k starts
+    past the previous answer and at its star floor ceil(5k/2) (its
+    star_core is (2, 5, 1)), and stops below its balanced line product,
+    of degree 4, 5, 9, 10.  So the first prime eliminates only
+    3 | - | 8 | -, where it finds full rank, the products
     close every k, and the second prime eliminates nothing; the ten points
     take their rows in closed form and build no table degree.  The six
     lines of S_3(2,4) for k <= 4 (floor 2k, products of degree 3, 4, 7,
@@ -569,6 +592,7 @@ def test_alpha_table_builds_each_table_once(star25, search_log):
     eliminates; the points build none."""
     scheme = star25
     eliminated, built = search_log
+    _no_peel(monkeypatch)
     table = alpha_table(scheme, range(1, 5))
     assert [r.alpha for r in table] == [4, 5, 9, 10]
     p1, p2 = DEFAULT_PRIMES
@@ -731,13 +755,15 @@ def test_star_product_is_sound_and_tight(name, monkeypatch):
 
 
 @pytest.mark.parametrize("q", DEFAULT_PRIMES, ids=PRIME_IDS)
-def test_alpha_table_matches_one_k_searches(q):
+def test_alpha_table_matches_one_k_searches(q, monkeypatch):
     """The table gives each k the record of its own search from max(orders),
     also when the second prime refutes every answer (q = p1: the points are
     collinear mod p1, and alpha is 2, 3, 5 over Q) and under a cap that
-    leaves k = 3 unresolved."""
+    leaves k = 3 unresolved.  The peel is off: it proves the degrees where
+    p1 errs empty, and no answer would be refuted."""
     scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, q, 1)],
                          [1, 1, 1]).to_scheme()
+    _no_peel(monkeypatch)
     for mode, cap in (("modp", None), ("rational", None), ("modp", 4)):
         table = alpha_table(scheme, (1, 2, 3), mode=mode, degree_cap=cap)
         single = [alpha_symbolic(scheme, k, mode=mode, degree_cap=cap)
@@ -933,12 +959,13 @@ def test_multiply_forms_across_witness_kinds():
 
 def test_alpha_table_makes_tables_on_first_use(monkeypatch):
     """Each prime's tables are made at its first elimination.  On
-    ``star_2_2_5.json`` for k <= 4 the first prime eliminates at degrees 3
-    and 8 (see test_alpha_table_builds_each_table_once), so each of the ten
-    points gets one first-prime table, and the star products close every
-    k, so no second-prime table is made.  On 2*S_4(4,5) for k <= 4 the
-    products close every k at its star floor: no table at all, in either
-    lane."""
+    ``star_2_2_5.json`` for k <= 4 with the peel off, the first prime
+    eliminates at degrees 3 and 8 (see
+    test_alpha_table_builds_each_table_once), so each of the ten points
+    gets one first-prime table, and the star products close every k, so no
+    second-prime table is made; with the peel on, it proves degrees 3 and
+    8 empty, and no table is made.  On 2*S_4(4,5) for k <= 4 the products
+    close every k at its star floor: no table at all, in either lane."""
     made = []
     for cls in (AdaptedTablesModP, AdaptedTablesQQ):
         init = cls.__init__
@@ -951,6 +978,11 @@ def test_alpha_table_makes_tables_on_first_use(monkeypatch):
     scheme = scheme_from_dict(load_json(DATA / "star_2_2_5.json"))
     table = alpha_table(scheme, range(1, 5))
     assert [r.alpha for r in table] == [4, 5, 9, 10]
+    assert made == []
+    with monkeypatch.context() as patch:
+        _no_peel(patch)
+        table = alpha_table(scheme, range(1, 5))
+    assert [r.alpha for r in table] == [4, 5, 9, 10]
     assert made == [DEFAULT_PRIMES[0]] * 10
 
     made.clear()
@@ -959,3 +991,154 @@ def test_alpha_table_makes_tables_on_first_use(monkeypatch):
         table = alpha_table(target, range(1, 5), mode=mode)
         assert [r.alpha for r in table] == [3, 5, 8, 10]
     assert made == []
+
+
+# -- Bézout peeling ------------------------------------------------------------
+
+def _line_of_p3(*forms):
+    return Subspace(3, [LinForm(f) for f in forms])
+
+
+def _fat_scheme(n, *components):
+    """The scheme of (subspace or point coordinates, multiplicity) pairs."""
+    return FatFlatScheme(n, tuple(
+        FatComponent(sub if isinstance(sub, Subspace) else
+                     point_subspace(sub), mu) for sub, mu in components))
+
+
+# name: a starless scheme whose peel reads each rule.
+_PEEL_SCHEMES = {
+    # Four points on y = 0: the line takes their orders' sum.
+    "collinear points": FatPointsP2(
+        [(0, 0, 1), (1, 0, 1), (2, 0, 1), (5, 0, 1), (0, 1, 1), (1, 2, 1)],
+        [2, 1, 1, 2, 1, 1]).to_scheme(),
+    # {x0 = x1 = 0} and {x0 = x2 = 0} meet at (0, 0, 0, 1); the plane
+    # 7x0 + x1 - 3x2 = 0 through it holds the three points and neither
+    # line, so on it both lines restrict to that one point.
+    "two lines of P^3 meeting at a point": _fat_scheme(
+        3, (_line_of_p3([1, 0, 0, 0], [0, 1, 0, 0]), 1),
+        (_line_of_p3([1, 0, 0, 0], [0, 0, 1, 0]), 1),
+        ((1, 2, 3, 1), 1), ((1, -1, 2, 3), 1), ((1, -7, 0, 5), 1)),
+    # The line through (1, 1, 0, 0) and (1, 2, 3, 1) meets the plane
+    # x3 = 0 of three points at a point on the line through two of them.
+    "a point on a line": _fat_scheme(
+        3, (_line_of_p3([1, -1, 0, 1], [0, 0, 1, -3]), 2),
+        ((1, 0, 0, 0), 1), ((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1),
+        ((0, 1, 1, 1), 1)),
+    # On the plane x3 = 0, the point (1, 1, 0) and the line through
+    # (1, 0, 0) and (0, 1, 1) have one Plücker vector, (1, 1, 0): they are
+    # two flats of that plane, not one.
+    "a point and a line with one Plucker vector": _fat_scheme(
+        3, (_line_of_p3([0, 1, -1, 0], [0, 0, 0, 1]), 1),
+        ((1, 1, 0, 0), 2), ((2, -1, 5, 0), 2), ((1, 2, 3, 1), 1)),
+    # The plane x3 = 0 holds the line x2 = x3 = 0 and three points: on it
+    # the line is a divisor, taken to its order at once.
+    "a plane holding a line and points": _fat_scheme(
+        3, (_line_of_p3([0, 0, 1, 0], [0, 0, 0, 1]), 2),
+        ((1, 2, 1, 0), 1), ((2, -1, 3, 0), 1), ((0, 1, -2, 0), 1),
+        ((1, 1, 1, 1), 1)),
+}
+
+
+def _orders(scheme, k):
+    return [kappa for _, kappa in symbolic_multiplicities(scheme, k)]
+
+
+@pytest.mark.parametrize("name", sorted(_PEEL_SCHEMES))
+def test_peel_proves_every_empty_degree_of_these_schemes(name):
+    """On each named scheme, for k <= 3, the peel proves every degree
+    below alpha empty, and each of them has full rank over Q; at alpha it
+    proves nothing."""
+    scheme = _PEEL_SCHEMES[name]
+    geometry = interpolation._Geometry(scheme)
+    for record in alpha_table(scheme, (1, 2, 3)):
+        orders = _orders(scheme, record.k)
+        tables = [AdaptedTablesQQ(c.subspace) for c in scheme.components]
+        for d in range(record.alpha):
+            assert geometry.peels(orders, d)
+            assert interpolation._kernel_rational(tables, orders, d) is None
+        assert not geometry.peels(orders, record.alpha)
+
+
+def test_restrictions_that_coincide_are_one_flat():
+    """The two meeting lines restrict to one point of the plane through
+    their meeting point and the three points, and to two flats of every
+    other catalog plane."""
+    space = interpolation._Geometry(
+        _PEEL_SCHEMES["two lines of P^3 meeting at a point"]).space
+    images = [dict(pairs) for _, _, pairs in space.hyperplanes]
+    assert sum(image[0] == image[1] for image in images) == 1
+
+
+def test_peel_proves_only_full_rank_degrees():
+    """On the seeded starless schemes of P^2 and P^3 (points, and lines
+    of P^3 that may meet), every degree up to alpha that the peel proves
+    empty has full rank over Q, and alpha is never one of them."""
+    proved = 0
+    for scheme in _seeded_flat_schemes():
+        geometry = interpolation._Geometry(scheme)
+        for record in alpha_table(scheme, (1, 2)):
+            orders = _orders(scheme, record.k)
+            tables = [AdaptedTablesQQ(c.subspace) for c in scheme.components]
+            for d in range(record.alpha + 1):
+                if geometry.peels(orders, d):
+                    proved += 1
+                    assert d < record.alpha
+                    assert interpolation._kernel_rational(
+                        tables, orders, d) is None
+    assert proved > 50
+
+
+@pytest.mark.parametrize("mode,k_max", [("modp", 3), ("rational", 2)])
+def test_peel_keeps_every_record(mode, k_max, monkeypatch):
+    """With the peel and with it switched off, alpha_table gives equal
+    records (alpha, witness, field and primes) on the seeded and the
+    named starless schemes, in both lanes."""
+    ks = range(1, k_max + 1)
+    schemes = _seeded_flat_schemes() + list(_PEEL_SCHEMES.values())
+    tables = [alpha_table(scheme, ks, mode=mode) for scheme in schemes]
+    _no_peel(monkeypatch)
+    for scheme, table in zip(schemes, tables):
+        assert table == alpha_table(scheme, ks, mode=mode)
+
+
+def test_peel_removes_the_escalation(search_log, monkeypatch):
+    """FIVE_POINTS with y scaled by p1, as in
+    test_second_prime_confirms_or_escalates, with the peel on: the line
+    through two of the points carries orders 2 > 1, so degree 1 is empty,
+    and the first prime, which finds a line mod p1 there, eliminates only
+    at degree 2.  alpha is 2 as before, with no escalation and no run over
+    Q."""
+    p1 = DEFAULT_PRIMES[0]
+    scheme = _scaled_five_points(p1)
+    rational_degrees = _count_rational_degrees(monkeypatch)
+    assert interpolation._Geometry(scheme).peels([1] * 5, 1)
+    record = alpha_symbolic(scheme, 1)
+    assert record.alpha == 2 and membership(record.witness, scheme, 1)
+    assert record.primes == DEFAULT_PRIMES
+    assert not record.escalated and record.field_mode == "modp"
+    assert search_log[0] == [(p1, 2), (DEFAULT_PRIMES[1], 2)]
+    assert rational_degrees == []
+
+
+def test_peel_geometry_is_made_on_first_use(monkeypatch):
+    """The peel's space is made at the first degree that would otherwise
+    be eliminated, once per alpha_table call: never on 2*S_4(4,5), whose
+    products close every k at its floor, and once on S_2(2,5) for k <= 4,
+    whose first prime would eliminate at degrees 3 and 8."""
+    made = []
+    space = interpolation._Space
+
+    def recording(spans, n, catalog):
+        made.append(n)
+        return space(spans, n, catalog)
+
+    monkeypatch.setattr(interpolation, "_Space", recording)
+    target = build_rational_target(4, 10)
+    for mode in ("modp", "rational"):
+        assert [r.alpha for r in alpha_table(target, range(1, 5), mode=mode)] \
+            == [3, 5, 8, 10]
+    assert made == []
+    star = scheme_from_dict(load_json(DATA / "star_2_2_5.json"))
+    assert [r.alpha for r in alpha_table(star, range(1, 5))] == [4, 5, 9, 10]
+    assert [n for n in made if n == 2] == [2]  # the lines' spaces are P^1
