@@ -19,12 +19,16 @@ confirms only the kernel degrees, and a k re-runs over Q only when it
 refutes its degree) and in Python ints with Bareiss over Q.  Each k
 starts past the previous answer and only scans upward, so one set of
 tables per prime serves every k, each table built once, and made at the
-first elimination.  A product of hyperplanes in I^(k), proved by
-counting its orders, bounds the scan from above: of the star's
-hyperplanes on a scheme with a star, and otherwise of a catalog of the
-hyperplanes spanned by the components' spanning points.  When every
-degree below it is empty, the product is the answer's rational witness,
-and no second prime runs.
+first elimination.  A product prod H_j^(a_j) of hyperplanes bounds the
+scan from above by counting orders: along a component c it vanishes to
+order sum_{H_j ⊇ c} a_j (order along a linear flat is a valuation, and
+a hyperplane has order 1 along each flat it holds), so it lies in I^(k)
+once that sum is >= k*mu_c for each c, and alpha(I^(k)) <= its degree.
+The hyperplanes are the star's, with balanced exponents, on a scheme
+with a star, and otherwise a catalog of the hyperplanes spanned by the
+components' spanning points, with the least cover.  When every degree
+below it is empty, the product is the answer's rational witness, and no
+second prime runs.
 
 Most empty degrees are proved by a Bézout peel, with no matrix at all
 (Dumnicki 2006 for lines of P^2; Dumnicki–Harbourne–Szemberg–
@@ -36,17 +40,16 @@ along each c on H.  Proof: the restriction F|H has degree d and order
 >= kappa_c along c for c in H, and along c ∩ H for c not in H (the
 linear forms of I(c) restrict into I(c ∩ H)); where restrictions
 coincide it owes the largest of their orders, never their sum.  The
-system is empty, so F|H = 0, and H | F; order along a linear flat is a
-valuation, and H has order 1 along each flat it holds.  Emptiness on H
-is proved by the same rule one dimension down, where a flat of
-codimension 1 in H is a hyperplane of H and so divides F|H to its order;
-in P^1, where flats are points, that says the orders of distinct points
-sum past d.  A peel ends, and proves the degree empty, only when d < 0
-or d < the largest order left: a nonzero form of degree d has order
-<= d at every point.  Emptiness is monotone in d, as a form of lower
-degree times a power of a linear form has degree d.  Nothing else is
-ever taken as a proof of emptiness: no genericity argument (random
-coordinates are not general position), no expected or virtual
+system is empty, so F|H = 0, and H | F; order is a valuation, as above.
+Emptiness on H is proved by the same rule one dimension down, where a
+flat of codimension 1 in H is a hyperplane of H and so divides F|H to
+its order; in P^1, where flats are points, that says the orders of
+distinct points sum past d.  A peel ends, and proves the degree empty,
+only when d < 0 or d < the largest order left: a nonzero form of degree
+d has order <= d at every point.  Emptiness is monotone in d, as a form
+of lower degree times a power of a linear form has degree d.  Nothing
+else is ever taken as a proof of emptiness: no genericity argument
+(random coordinates are not general position), no expected or virtual
 dimension, and no curve that is not irreducible (only hyperplanes
 peel).  A degree the peel does not prove is eliminated.
 
@@ -451,10 +454,7 @@ class ProductWitness:
     millions of.  A record keeps it as a Form keeps its numerators: the
     exponents, and every coefficient in ``packed`` (:func:`_pack`), which
     ``factors`` reads out.  The witness of a k that a hyperplane product
-    closes (see alpha_table) is one: with the primitive coefficients of
-    the star's hyperplanes, in their order, on a scheme with a star, and
-    otherwise of the catalog's hyperplanes (primitive, leading entry
-    positive), in catalog order."""
+    closes is one, its factors in :attr:`_Geometry.hyperplanes` order."""
 
     ambient_dim: int
     exponents: tuple
@@ -522,9 +522,8 @@ class AlphaRecord:
     the rational lane and for an escalated k), and ``primes`` the mod-p
     lane's primes when they ran on this k.  The witness of a searched k is
     its kernel :class:`Form`, mod the first prime or over Q.  A k that a
-    hyperplane product closes (the star's or the catalog's, see
-    alpha_table) keeps the lane of the call, has that product as its
-    witness, a :class:`ProductWitness` (rational and integral, never
+    hyperplane product closes keeps the lane of the call, has that product
+    as its witness, a :class:`ProductWitness` (rational and integral, never
     expanded unless asked), and ``primes`` None: no prime confirmed it, so
     it is never ``escalated``."""
 
@@ -727,79 +726,50 @@ def _least_cover(sets, demand, low, cap):
         failed[residual] = t  # past the budget, the whole search fails
         return None
 
-    demand = tuple(demand)
+    demand, chosen = tuple(demand), None
     for t in range(low, cap + 1):
         chosen = cover(demand, t)
-        if chosen is not None:
-            return [chosen.count(j) for j in range(len(sets))]
-        if nodes >= _PRODUCT_NODES:
-            return None
+        if chosen is not None or nodes >= _PRODUCT_NODES:
+            break
+    del cover  # it refers to itself: free it and its memo now
+    if chosen is None:
+        return None
+    return [chosen.count(j) for j in range(len(sets))]
+
+
+def _balanced_cover(sets, demand, low, cap):
+    """Counts a_j = q + (j < r) of the least total T = q*s + r in [low,
+    cap] that hold each component c at least demand[c] times, the s
+    ``sets`` in their order; None when there is none.  Each a_j only grows
+    with T, so the first covered T is the least.  For the pure star
+    m*S_N(e, s) that is the least degree of any star product, since for a
+    fixed total the e smallest entries sum highest when the entries differ
+    by at most one."""
+    for total in range(low, cap + 1):
+        q, r = divmod(total, len(sets))
+        counts = [q + (j < r) for j in range(len(sets))]
+        if all(sum(a for a, on in zip(counts, sets) if c in on) >= need
+               for c, need in enumerate(demand)):
+            return counts
     return None
 
 
-def _catalog_products(scheme: FatFlatScheme, records, floors, geometry):
-    """{k: the least product of catalog hyperplanes in I^(k), a
-    :class:`ProductWitness`}, for the ks whose search finds one up to
-    their cap (see :func:`_hyperplane_catalog`, :func:`_least_cover`)."""
-    if not geometry.catalog:
-        return {}
-    planes, sets = zip(*geometry.catalog)
+def _hyperplane_products(geometry, records, orders, floors):
+    """{k: the product of ``geometry.hyperplanes`` whose exponents their
+    rule finds, a :class:`ProductWitness` in I^(k) by the module
+    docstring's count}, for the ks it covers at a degree from floors[k]
+    to the cap."""
+    planes, sets, rule = geometry.hyperplanes
+    if len(set().union(*sets)) < len(geometry.spans):
+        return {}  # a component on no hyperplane: no product
     products = {}
     for record in records:
         k = record.k
-        counts = _least_cover(sets, [k * c.multiplicity
-                                     for c in scheme.components],
-                              floors[k], record.degree_cap)
+        counts = rule(sets, orders[k], floors[k], record.degree_cap)
         if counts is not None:
-            products[k] = ProductWitness(scheme.ambient_dim, tuple(
+            products[k] = ProductWitness(geometry.n, tuple(
                 (h, a) for h, a in zip(planes, counts) if a))
     return products
-
-
-def _star_products(scheme: FatFlatScheme, records, floors, geometry):
-    """{k: the least-degree balanced product prod H_j^(a_j) of the star's
-    hyperplanes in I^(k), a :class:`ProductWitness`}, for the ks that have
-    one up to their cap.
-
-    H_j contains a component c when its primitive coefficients vanish at
-    each of c's primitive spanning points (:func:`_components_on`).
-    Balanced: a_j = q + (j < r) for a total T = q*s + r, T taken upward
-    from floors[k]; each a_j only grows with T, so the first covered T is
-    the least.  For the pure star m*S_N(e, s) that is the least degree of
-    any star product, since for a fixed total the e smallest entries sum
-    highest when the entries differ by at most one."""
-    star = scheme.star
-    planes = [_primitive(h.coeffs) for h in star.hyperplanes]
-    on = [_components_on(h, geometry.spans) for h in planes]
-    covers = [([j for j in range(star.s) if i in on[j]], c.multiplicity)
-              for i, c in enumerate(scheme.components)]
-    if not all(js for js, _ in covers):
-        return {}  # a component on no star hyperplane: no product
-    products = {}
-    for record in records:
-        k = record.k
-        for total in range(floors[k], record.degree_cap + 1):
-            q, r = divmod(total, star.s)
-            a = [q + (j < r) for j in range(star.s)]
-            if all(sum(a[j] for j in js) >= k * mu for js, mu in covers):
-                products[k] = ProductWitness(scheme.ambient_dim, tuple(
-                    (h, aj) for h, aj in zip(planes, a) if aj))
-                break
-    return products
-
-
-def _hyperplane_products(scheme: FatFlatScheme, records, floors, geometry):
-    """{k: a product of hyperplanes in I^(k)}: the star's balanced products
-    on a scheme with a star, the catalog's least products otherwise.
-
-    A product prod H_j^(a_j) vanishes to order sum_{H_j ⊇ c} a_j along a
-    component c (order along a linear flat is a valuation, and a
-    hyperplane has order 1 along each flat it contains), so it lies in
-    I^(k) when each c is covered: that sum is >= k*mu_c.  That proves
-    alpha(I^(k)) <= its degree, whichever product it is."""
-    if scheme.star is not None:
-        return _star_products(scheme, records, floors, geometry)
-    return _catalog_products(scheme, records, floors, geometry)
 
 
 # -- Bézout peeling: empty degrees without elimination -------------------------
@@ -905,13 +875,38 @@ def _peels(space, orders, d) -> bool:
 
 
 class _Geometry:
-    """A scheme's hyperplane geometry, for one alpha_table call: its
-    components' spanning points, its catalog, and the peel's space, each
-    made on first use and kept nowhere else."""
+    """A scheme's brackets, for one alpha_table call: its components'
+    spanning points, the floor of each k, the hyperplanes its products are
+    made of, its catalog and the peel's space, each made on first use and
+    kept nowhere else."""
 
     def __init__(self, scheme: FatFlatScheme):
+        self.scheme = scheme
         self.n = scheme.ambient_dim
         self.spans = _spanning_points(scheme)
+
+    def floor(self, k, orders) -> int:
+        """A proved lower bound on alpha(I^(k)), ``orders`` its k*mu_i:
+        max(orders), as no form of degree < kappa vanishes to order kappa
+        along a flat, and ceil(k*m*s/e) on a W with a checked star (e, s,
+        m): W contains m*S_N(e, s), so alpha(I(W)^(k)) >= k*m*s/e = k *
+        alpha-hat(m*S_N(e, s)), the bound ``star_core_lower`` certifies."""
+        e, s, m = self.scheme.star_core or (1, 0, 0)
+        return max(*orders, -(-k * m * s // e))
+
+    @cached_property
+    def hyperplanes(self):
+        """(hyperplanes, the components on each, exponent rule) of the
+        products: the star's hyperplanes, primitive and in their order,
+        with :func:`_balanced_cover` on a scheme with a star, and otherwise
+        the catalog's (leading entry positive) with :func:`_least_cover`."""
+        star = self.scheme.star
+        if star is None:
+            return ([h for h, _ in self.catalog],
+                    [on for _, on in self.catalog], _least_cover)
+        planes = [_primitive(h.coeffs) for h in star.hyperplanes]
+        return (planes, [_components_on(h, self.spans) for h in planes],
+                _balanced_cover)
 
     @cached_property
     def catalog(self):
@@ -927,39 +922,41 @@ class _Geometry:
         return _peels(self.space, orders, d)
 
 
-def _first_kernels(make_tables, records, orders, floors, uppers,
-                   kernel_at, peels):
-    """{k: the least degree d with a kernel vector, and that vector}: one
-    upward scan per k from its proved lower bound, each k starting past
-    the previous (see alpha_table), so the degrees asked of the tables
-    only grow.  ``make_tables()`` makes them at the first elimination, so
-    a search that eliminates nothing makes none.  The scan stops below
-    uppers[k], the degree of a proved witness, giving (uppers[k], None)
-    when every degree below it is empty, and past the cap, giving (None,
-    None).
+def _scan(records, orders, floors, products, geometry, make_tables,
+          kernel_at, field):
+    """Write each record's alpha and witness: one upward scan per k from
+    its proved lower bound, each k past the previous (see alpha_table), so
+    the degrees asked of the tables only grow.  ``make_tables()`` makes
+    them at the first elimination, so a scan that eliminates nothing makes
+    none.  The first kernel vector, at d, gives alpha = d and its
+    :class:`Form` in ``field``.  The scan stops below the degree u of k's
+    product, which closes k when every degree below is empty, and with no
+    product past the cap, leaving the record unresolved.
 
-    ``peels(orders, d)`` proves degree d empty with no elimination.
-    Emptiness is monotone in d (a form of degree d' < d times a linear
-    form has degree d), so with a witness at u one peel at u - 1 proves
+    ``geometry.peels`` proves a degree empty with no elimination.  As
+    emptiness is monotone in d, with a product one peel at u - 1 proves
     every degree below; otherwise the peel is asked before each
     elimination."""
-    found, j, b, tables = {}, 0, 0, None  # alpha(I^(0)) = 0
+    j, b, tables = 0, 0, None  # alpha(I^(0)) = 0
     for record in records:
-        k, kernel = record.k, None
-        top = uppers.get(k, record.degree_cap + 1)
+        k, product = record.k, products.get(record.k)
+        top = product.degree if product else record.degree_cap + 1
         d = max(floors[k], b + k - j)  # proved: alpha(I^(k)) >= d
-        if k in uppers and d < top and peels(orders[k], top - 1):
+        if product and d < top and geometry.peels(orders[k], top - 1):
             d = top
         while d < top:
-            if not peels(orders[k], d):
+            if not geometry.peels(orders[k], d):
                 tables = tables or make_tables()
                 kernel = kernel_at(tables, orders[k], d)
                 if kernel is not None:
+                    record.alpha, record.witness = d, Form.from_values(
+                        geometry.n, d, kernel, field)
                     break
             d += 1  # an empty degree d proves alpha(I^(k)) > d
-        found[k] = (d, kernel) if d <= record.degree_cap else (None, None)
+        else:
+            if product:
+                record.alpha, record.witness = d, product
         j, b = k, d
-    return found
 
 
 def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
@@ -970,54 +967,18 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     eliminates only at each kernel degree d; full rank there re-runs that
     k over Q (``escalated``) from d + 1, as rational mode runs every k.
 
-    Each k scans upward from start = max(floor, b + k - j), b the proved
-    lower bound of the previous record j, and its answer is the first
-    degree with a kernel vector: each degree below it, from start on, is
-    proved empty over Q, whatever p2 says, by a peel or by full rank (each
-    F_p matrix reduces an integer matrix with the Q row space, so rank
-    mod p <= rank over Q); an unresolved record proves alpha(I^(j)) > cap.
+    Each k's answer is its first degree with a kernel vector, or the
+    degree u of its hyperplane product (:func:`_hyperplane_products`) when
+    every degree below u is empty, and then the product is its witness,
+    with no second prime and no run over Q.  :func:`_scan` proves each
+    degree it passes empty over Q, whatever p2 says: by a Bézout peel (see
+    the module docstring), or by full rank, as each F_p matrix reduces an
+    integer matrix with the Q row space.  It begins k at
+    max(floor, b + k - j), b the proved lower bound of the previous record
+    j (an unresolved one proves alpha(I^(j)) > cap), by two facts:
 
-    The peel (see the module docstring, :func:`_peels`) proves a degree
-    d empty with no matrix.  Lemma: if the system restricted to a catalog
-    hyperplane H is empty in degree d, then H divides every form of
-    degree d in I^(k), and the quotient lies in degree d - 1 with each
-    order on H one less.  Proof: F|H has order >= kappa_c along c, or
-    along c ∩ H for c not in H (the largest such order where restrictions
-    coincide), so F|H = 0; order along a linear flat is a valuation.  The
-    restricted system is proved empty by the same rule one dimension
-    down, a flat of codimension 1 in H dividing F|H to its order, and a
-    peel proves d empty only once d < 0 or d < the largest order left.
-    Emptiness is monotone in d (a lower-degree form times a linear form
-    would lie in degree d), so a k with a witness of degree u asks the
-    peel once, at u - 1; every other degree asks it before eliminating.
-    No genericity argument, expected dimension or reducible curve is
-    ever taken as proof: only hyperplanes peel, and only degree counts
-    end a peel.  The peel's geometry, each catalog hyperplane's
-    restricted flats and that hyperplane's own catalog, is built in
-    Python ints at the first degree that would otherwise be eliminated,
-    once per call, and the catalog is shared with the products below.
-
-    A product of hyperplanes in I^(k) brackets k from above
-    (``_hyperplane_products``): it is an exact witness of alpha(I^(k)) <=
-    u, its degree, by counting orders alone.  On a scheme with a star it
-    is the least balanced product of the star's hyperplanes.  On any other
-    it is the least product of a catalog, made once per call, of the
-    hyperplanes through N independent spanning points of the components,
-    one per maximal set of components they contain; a search with a node
-    budget finds it, and a k whose search runs out has none.  The scan
-    stops at u - 1; emptiness up to there proves alpha(I^(k)) = u, and the
-    product, a :class:`ProductWitness` of each hyperplane's primitive
-    integer coefficients, is the record's witness, with no second prime
-    and no run over Q.  A kernel below u takes the path above.  Two facts
-    prove start:
-
-    - The floor.  floor = max(max(orders), ceil(k*m*s/e)) when
-      ``scheme.star_core`` = (e, s, m), and max(orders) otherwise.  No
-      form of degree < kappa vanishes to order kappa along a flat.  The
-      star is checked (see FatFlatScheme): W contains m*S_N(e, s), so
-      I(W)^(k) lies in I(m*S_N(e, s))^(k), and alpha(I^(k)) >=
-      k * alpha-hat(m*S_N(e, s)) = k*m*s/e, the bound that
-      ``star_core_lower`` certifies.
+    - The floor (:meth:`_Geometry.floor`): the largest order, and a
+      configuration m*S_N(e, s) that the scheme is checked to contain.
     - The chain lemma.  A form F != 0 in I^(k) has a first partial != 0
       (Euler), of order >= k*mu_i - 1 >= (k-1)*mu_i on each flat, so
       alpha(I^(k)) >= alpha(I^(k-1)) + 1 >= alpha(I^(j)) + k - j.
@@ -1026,8 +987,9 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
     and each prime's tables are made at its first elimination: a call
     whose every k its products and peels close makes none.
     """
+    ks = list(ks)
     if not ks or any(j >= k for j, k in zip([0, *ks], ks)):
-        raise ValidationError(f"need 1 <= k1 < k2 < ..., not {list(ks)}")
+        raise ValidationError(f"need 1 <= k1 < k2 < ..., not {ks}")
     if degree_cap is not None and degree_cap < 1:
         raise ValidationError("degree cap must be >= 1")
     if mode not in ("modp", "rational"):
@@ -1037,47 +999,33 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
                            default_degree_cap(scheme, k)) for k in ks]
     orders = {k: [kappa for _, kappa in symbolic_multiplicities(scheme, k)]
               for k in ks}
-    e, s, m = scheme.star_core or (1, 0, 0)
-    floors = {k: max(*kappas, -(-k * m * s // e))  # ceil(k*m*s/e), or 0
-              for k, kappas in orders.items()}
     geometry = _Geometry(scheme)
-    products = _hyperplane_products(scheme, records, floors, geometry)
-    uppers = {k: w.degree for k, w in products.items()}
+    floors = {k: geometry.floor(k, orders[k]) for k in ks}
+    products = _hyperplane_products(geometry, records, orders, floors)
     subs = [c.subspace for c in scheme.components]
-    found = {}
     if mode == "modp":
-        found = _first_kernels(
-            lambda: [AdaptedTablesModP(sub, p1) for sub in subs],
-            records, orders, floors, uppers, _kernel_modp, geometry.peels)
+        _scan(records, orders, floors, products, geometry,
+              lambda: [AdaptedTablesModP(sub, p1) for sub in subs],
+              _kernel_modp, p1)
         tables = None
         for record in records:
-            k, (d, kernel) = record.k, found[record.k]
-            if d is not None and kernel is None:
-                continue  # the product proves d; no prime confirms it
+            if isinstance(record.witness, ProductWitness):
+                continue  # the product proves alpha; no prime confirms it
             record.primes = (p1, p2)
-            if kernel is None:
+            if record.witness is None:
                 continue  # unresolved below the cap
             tables = tables or [AdaptedTablesModP(sub, p2) for sub in subs]
-            if _kernel_modp(tables, orders[k], d) is None:
-                # alpha >= d is proved, and full rank mod p2 at d proves alpha > d.
-                record.field_mode = "rational"
-                floors[k] = d + 1
+            if _kernel_modp(tables, orders[record.k], record.alpha) is None:
+                # Full rank mod p2 at this proved bound proves alpha above it.
+                floors[record.k] = record.alpha + 1
+                record.field_mode, record.alpha, record.witness = \
+                    "rational", None, None
         del tables
     redo = [r for r in records if r.field_mode == "rational"]
     if redo:
-        found.update(_first_kernels(
-            lambda: [AdaptedTablesQQ(sub) for sub in subs],
-            redo, orders, floors, uppers, _kernel_rational, geometry.peels))
-    for record in records:
-        d, kernel = found[record.k]
-        if d is None:
-            continue
-        if kernel is None:
-            record.alpha, record.witness = d, products[record.k]
-            continue
-        field = p1 if record.field_mode == "modp" else "rational"
-        record.alpha, record.witness = d, Form.from_values(
-            scheme.ambient_dim, d, kernel, field)
+        _scan(redo, orders, floors, products, geometry,
+              lambda: [AdaptedTablesQQ(sub) for sub in subs],
+              _kernel_rational, "rational")
     return records
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -419,8 +420,13 @@ def test_cap_behavior(star25):
     scheme = star25
     record = alpha_symbolic(scheme, 1, degree_cap=3)  # alpha is 4
     assert not record.resolved and record.degree_cap_hit
+    assert record.witness is None
+    assert record.primes == DEFAULT_PRIMES and record.field_mode == "modp"
     with pytest.raises(CapExceededError):
         require_alpha(record)
+    record = alpha_symbolic(scheme, 1, mode="rational", degree_cap=3)
+    assert record.degree_cap_hit and record.witness is None
+    assert record.primes is None and record.field_mode == "rational"
     # The default cap is the first degree with more monomials than order
     # conditions, where a form must exist: ten double points need 30
     # conditions, and C(7+2, 2) = 36 > 30 >= C(6+2, 2).
@@ -547,9 +553,16 @@ def test_alpha_star_p3_table():
 
 def test_alpha_table_validation(star25):
     scheme = star25
-    for ks in ([0, 1], [2, 2], [3, 1], [], range(3, 2)):
+    for ks in ([0, 1], [2, 2], [3, 1], [], range(3, 2), iter([])):
         with pytest.raises(ValidationError):
             alpha_table(scheme, ks)
+
+
+def test_alpha_table_reads_an_iterator_once(star25):
+    """ks may be an iterator: it gives the table of the same list."""
+    table = alpha_table(star25, iter([1, 2]))
+    assert [r.alpha for r in table] == [4, 5]
+    assert table == alpha_table(star25, [1, 2])
 
 
 @pytest.fixture
@@ -735,8 +748,7 @@ def test_star_product_is_sound_and_tight(name, monkeypatch):
     mod-p lane's witness at such k is the same product)."""
     scheme, k_modp, k_rational = _PRODUCT_SCHEMES[name]
     starless = FatFlatScheme(scheme.ambient_dim, scheme.components)
-    monkeypatch.setattr(interpolation, "_catalog_products",
-                        lambda *args: {})
+    monkeypatch.setattr(interpolation, "_least_cover", lambda *args: None)
     tables = {}
     for mode, k_max in (("modp", k_modp), ("rational", k_rational)):
         ks = range(1, k_max + 1)
@@ -870,6 +882,20 @@ def test_least_cover_is_least():
         assert sum(counts) == least
         assert all(sum(a for on, a in zip(sets, counts) if c in on) >= d
                    for c, d in enumerate(demand))
+
+
+def test_least_cover_leaves_no_garbage():
+    """The search's memo is freed when it returns: one call leaves
+    nothing for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        counts = interpolation._least_cover(
+            [(0, 1), (1, 2), (0, 2), (0,), (2,)], [3, 3, 3], 1, 20)
+        assert sum(counts) == 5
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _seeded_flat_schemes():
