@@ -55,7 +55,9 @@ def upper_bounds(scheme: FatFlatScheme, k_max: int, mode: str = "modp",
 
     Cap-exceeded entries stay in the table flagged unresolved; they never
     contribute a fabricated value.  One search per k, not one alpha_table:
-    perfbench times each k's ``alpha_symbolic`` (ROADMAP item 1).
+    perfbench times each k's ``alpha_symbolic`` (ROADMAP item 1).  The k
+    share the scheme's hyperplanes and peel geometry, built on the first
+    call that needs them.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")

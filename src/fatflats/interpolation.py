@@ -522,10 +522,12 @@ class AlphaRecord:
     the rational lane and for an escalated k), and ``primes`` the mod-p
     lane's primes when they ran on this k.  The witness of a searched k is
     its kernel :class:`Form`, mod the first prime or over Q.  A k that a
-    hyperplane product closes keeps the lane of the call, has that product
-    as its witness, a :class:`ProductWitness` (rational and integral, never
-    expanded unless asked), and ``primes`` None: no prime confirmed it, so
-    it is never ``escalated``."""
+    hyperplane product closes has that product as its witness, a
+    :class:`ProductWitness` (rational and integral, never expanded unless
+    asked).  If the call's own scan closed it, it keeps the call's lane,
+    and ``primes`` None: no prime confirmed it.  If the second prime
+    refuted its first-prime kernel and the rescan over Q then closed it,
+    it reads "rational" with ``primes`` (p1, p2): ``escalated``."""
 
     k: int
     alpha: int = None
@@ -790,20 +792,27 @@ class _Space:
 
     - ``divisors``: each flat g of codimension 1, with the other flats
       inside it;
-    - ``hyperplanes``: for each hyperplane H of ``catalog``, the flats on
-      H, the space of H ≅ P^(n-1) (see :func:`_restrict`), and the pairs
-      (flat, flat of H it restricts to, None for all of H)."""
+    - ``catalog``: the hyperplanes (h, flats on H) that may peel, each
+      restricted to when a peel first reaches it (:meth:`restriction`)."""
 
     def __init__(self, spans, n, catalog):
-        self.size = len(spans)
+        self.spans, self.n, self.size = spans, n, len(spans)
         self.divisors = []
         for g, points in enumerate(spans):
             if len(points) == n:  # in P^1 a point, which holds no other
                 on = _components_on(_hyperplane_through(points), spans) \
                     if n > 1 else ()
                 self.divisors.append((g, [i for i in on if i != g]))
-        self.hyperplanes = [(on, *_restrict(spans, n, h, on))
-                            for h, on in catalog]
+        self.catalog, self._restricted = catalog, [None] * len(catalog)
+
+    def restriction(self, j):
+        """(flats on H, space of H ≅ P^(n-1), pairs (flat, flat of H it
+        restricts to, None for all of H)) of the j-th catalog hyperplane H
+        (see :func:`_restrict`), made on first ask and kept."""
+        if self._restricted[j] is None:
+            h, on = self.catalog[j]
+            self._restricted[j] = (on, *_restrict(self.spans, self.n, h, on))
+        return self._restricted[j]
 
 
 def _restrict(spans, n, h, on):
@@ -854,11 +863,11 @@ def _peels(space, orders, d) -> bool:
         d -= a
         for i in inside:
             orders[i] = max(orders[i] - a, 0)
-    hyperplanes, j, stale = space.hyperplanes, 0, 0
+    count, j, stale = len(space.catalog), 0, 0
     while d >= max(orders, default=0):
-        if stale == len(hyperplanes):
+        if stale == count:
             return False
-        on, sub, pairs = hyperplanes[j]
+        on, sub, pairs = space.restriction(j)
         restricted, whole = [0] * sub.size, False
         for i, r in pairs:
             if r is None:
@@ -870,15 +879,15 @@ def _peels(space, orders, d) -> bool:
             for i in on:
                 orders[i] = max(orders[i] - 1, 0)
         else:
-            j, stale = (j + 1) % len(hyperplanes), stale + 1
+            j, stale = (j + 1) % count, stale + 1
     return True
 
 
 class _Geometry:
-    """A scheme's brackets, for one alpha_table call: its components'
-    spanning points, the floor of each k, the hyperplanes its products are
-    made of, its catalog and the peel's space, each made on first use and
-    kept nowhere else."""
+    """A scheme's brackets, the same for every k: its components' spanning
+    points, the floor of each k, the hyperplanes its products are made of,
+    its catalog and the peel's space, each made on first use.  One serves
+    every alpha_table call on the scheme (see :func:`_geometry`)."""
 
     def __init__(self, scheme: FatFlatScheme):
         self.scheme = scheme
@@ -920,6 +929,27 @@ class _Geometry:
         """True when peeling proves I^(k) empty in degree d, for
         ``orders`` the components' orders k*mu_i."""
         return _peels(self.space, orders, d)
+
+
+# How many schemes' geometries :func:`_geometry` keeps, the oldest dropped.
+_GEOMETRIES = 8
+_geometries = {}
+
+
+def _geometry(scheme: FatFlatScheme) -> _Geometry:
+    """The scheme's :class:`_Geometry`, shared by every alpha_table call
+    on it until ``_geometry.cache_clear()``.  It is keyed by
+    ``id(scheme)``, as hashing a scheme reads each of its Fractions; the
+    entry holds the scheme, so no other object takes that id meanwhile."""
+    got = _geometries.get(id(scheme))
+    if got is None or got.scheme is not scheme:
+        if len(_geometries) >= _GEOMETRIES:
+            del _geometries[next(iter(_geometries))]
+        got = _geometries[id(scheme)] = _Geometry(scheme)
+    return got
+
+
+_geometry.cache_clear = _geometries.clear
 
 
 def _scan(records, orders, floors, products, geometry, make_tables,
@@ -999,7 +1029,7 @@ def alpha_table(scheme: FatFlatScheme, ks, mode: str = "modp",
                            default_degree_cap(scheme, k)) for k in ks]
     orders = {k: [kappa for _, kappa in symbolic_multiplicities(scheme, k)]
               for k in ks}
-    geometry = _Geometry(scheme)
+    geometry = _geometry(scheme)
     floors = {k: geometry.floor(k, orders[k]) for k in ks}
     products = _hyperplane_products(geometry, records, orders, floors)
     subs = [c.subspace for c in scheme.components]

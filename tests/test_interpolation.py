@@ -1,5 +1,8 @@
 import gc
+import importlib
+import pkgutil
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fatflats
 from fatflats import interpolation
 from fatflats.errors import CapExceededError, ValidationError
 from fatflats.interpolation import (
@@ -787,6 +791,25 @@ def test_alpha_table_matches_one_k_searches(q, monkeypatch):
             assert all(r.escalated == (q == DEFAULT_PRIMES[0]) for r in table)
 
 
+def test_a_refuted_kernel_can_close_by_its_product(monkeypatch):
+    """The points of test_alpha_table_matches_one_k_searches at q = p1,
+    peel off: mod p1 they are collinear, so the first prime finds a kernel
+    below each k's line product, the second prime refutes it, and the
+    rescan over Q closes k by the product.  Each record is escalated, with
+    primes (p1, p2), and has that product as its witness, a member of
+    I^(k)."""
+    scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (0, DEFAULT_PRIMES[0], 1)],
+                         [1, 1, 1]).to_scheme()
+    _no_peel(monkeypatch)
+    table = alpha_table(scheme, (1, 2, 3))
+    assert [r.alpha for r in table] == [2, 3, 5]
+    for r in table:
+        assert isinstance(r.witness, ProductWitness)
+        assert r.primes == DEFAULT_PRIMES and r.field_mode == "rational"
+        assert r.escalated
+        assert membership(r.witness, scheme, r.k)
+
+
 @pytest.mark.parametrize("name", sorted(_PRODUCT_SCHEMES))
 def test_product_membership_matches_expansion(name):
     """Factored membership, which adds the factors' orders, agrees with
@@ -1092,8 +1115,31 @@ def test_restrictions_that_coincide_are_one_flat():
     other catalog plane."""
     space = interpolation._Geometry(
         _PEEL_SCHEMES["two lines of P^3 meeting at a point"]).space
-    images = [dict(pairs) for _, _, pairs in space.hyperplanes]
+    images = [dict(space.restriction(j)[2])
+              for j in range(len(space.catalog))]
     assert sum(image[0] == image[1] for image in images) == 1
+
+
+def _space_key(space):
+    return space.n, space.spans, space.divisors, space.catalog
+
+
+@pytest.mark.parametrize("name", sorted(_PEEL_SCHEMES))
+def test_each_restriction_is_made_as_restrict_makes_it(name):
+    """After alpha_table has peeled on the scheme, every catalog plane's
+    restriction, made by a peel or on this ask, is what :func:`_restrict`
+    makes of it: the flats on H, H's space and the pairs; asked again, it
+    is the same one."""
+    scheme = _PEEL_SCHEMES[name]
+    alpha_table(scheme, (1, 2, 3))
+    space = interpolation._geometry(scheme).space
+    assert space.catalog
+    for j, (h, on) in enumerate(space.catalog):
+        sub, pairs = interpolation._restrict(space.spans, space.n, h, on)
+        got = space.restriction(j)
+        assert got[0] == on and got[2] == pairs
+        assert _space_key(got[1]) == _space_key(sub)
+        assert space.restriction(j) is got
 
 
 def test_peel_proves_only_full_rank_degrees():
@@ -1149,9 +1195,10 @@ def test_peel_removes_the_escalation(search_log, monkeypatch):
 
 def test_peel_geometry_is_made_on_first_use(monkeypatch):
     """The peel's space is made at the first degree that would otherwise
-    be eliminated, once per alpha_table call: never on 2*S_4(4,5), whose
-    products close every k at its floor, and once on S_2(2,5) for k <= 4,
-    whose first prime would eliminate at degrees 3 and 8."""
+    be eliminated, once per scheme: never on 2*S_4(4,5), whose products
+    close every k at its floor, and once on S_2(2,5) for k <= 4, whose
+    first prime would eliminate at degrees 3 and 8; a second alpha_table
+    call on the same star makes no space."""
     made = []
     space = interpolation._Space
 
@@ -1168,3 +1215,74 @@ def test_peel_geometry_is_made_on_first_use(monkeypatch):
     star = scheme_from_dict(load_json(DATA / "star_2_2_5.json"))
     assert [r.alpha for r in alpha_table(star, range(1, 5))] == [4, 5, 9, 10]
     assert [n for n in made if n == 2] == [2]  # the lines' spaces are P^1
+    made.clear()
+    assert [r.alpha for r in alpha_table(star, range(1, 5))] == [4, 5, 9, 10]
+    assert made == []
+
+
+def test_one_geometry_per_scheme(monkeypatch):
+    """alpha_symbolic for k = 1, 2, 3 on one starless scheme builds its
+    catalog and its peel space once, for all three calls, and once more
+    after ``_geometry.cache_clear()``."""
+    scheme = _PEEL_SCHEMES["two lines of P^3 meeting at a point"]
+    n, made = scheme.ambient_dim, []
+    catalog, space = interpolation._hyperplane_catalog, interpolation._Space
+
+    def catalog_recording(spans, dim):
+        made.append(("catalog", dim))
+        return catalog(spans, dim)
+
+    def space_recording(spans, dim, planes):
+        made.append(("space", dim))
+        return space(spans, dim, planes)
+
+    monkeypatch.setattr(interpolation, "_hyperplane_catalog",
+                        catalog_recording)
+    monkeypatch.setattr(interpolation, "_Space", space_recording)
+    for _ in range(2):
+        made.clear()
+        assert [alpha_symbolic(scheme, k).alpha for k in (1, 2, 3)] == \
+            [r.alpha for r in alpha_table(scheme, (1, 2, 3))]
+        assert [m for m in made if m[1] == n] == [("catalog", n), ("space", n)]
+        interpolation._geometry.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["modp", "rational"])
+def test_warm_geometry_keeps_every_record(mode):
+    """A scheme's geometry, warmed by its k = 3 call, gives the records of
+    a cold one for k = 1..3, on the seeded and the named starless schemes,
+    in both lanes."""
+    for scheme in _seeded_flat_schemes() + list(_PEEL_SCHEMES.values()):
+        interpolation._geometry.cache_clear()
+        cold = alpha_table(scheme, (1, 2, 3), mode=mode)
+        interpolation._geometry.cache_clear()
+        alpha_table(scheme, [3], mode=mode)
+        assert alpha_table(scheme, (1, 2, 3), mode=mode) == cold
+
+
+def test_geometry_memo_keeps_the_last_eight_schemes():
+    """Nine distinct schemes leave the geometries of the last eight."""
+    schemes = [FatPointsP2([(0, 0, 1), (1, 0, 1), (i, 2, 1)],
+                           [1, 1, 1]).to_scheme() for i in range(9)]
+    for scheme in schemes:
+        alpha_symbolic(scheme, 1)
+    kept = [g.scheme for g in interpolation._geometries.values()]
+    assert len(kept) == 8
+    assert all(g is s for g, s in zip(kept, schemes[1:]))
+
+
+def test_clearing_every_library_cache_empties_the_geometry_memo():
+    """The benchmark harness starts each pass cold by calling
+    ``cache_clear()`` on every module-level value of a ``fatflats`` module
+    that has one: each such call runs, and the geometry memo is empty."""
+    alpha_symbolic(_PEEL_SCHEMES["collinear points"], 2)
+    assert interpolation._geometries
+    for info in pkgutil.iter_modules(fatflats.__path__):
+        importlib.import_module(f"fatflats.{info.name}")
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("fatflats"):
+            continue
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    assert not interpolation._geometries
