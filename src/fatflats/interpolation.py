@@ -792,27 +792,20 @@ class _Space:
 
     - ``divisors``: each flat g of codimension 1, with the other flats
       inside it;
-    - ``catalog``: the hyperplanes (h, flats on H) that may peel, each
-      restricted to when a peel first reaches it (:meth:`restriction`)."""
+    - ``hyperplanes``: for each hyperplane H of ``catalog``, the flats on
+      H, the space of H ≅ P^(n-1) (see :func:`_restrict`), and the pairs
+      (flat, flat of H it restricts to, None for all of H)."""
 
     def __init__(self, spans, n, catalog):
-        self.spans, self.n, self.size = spans, n, len(spans)
+        self.size = len(spans)
         self.divisors = []
         for g, points in enumerate(spans):
             if len(points) == n:  # in P^1 a point, which holds no other
                 on = _components_on(_hyperplane_through(points), spans) \
                     if n > 1 else ()
                 self.divisors.append((g, [i for i in on if i != g]))
-        self.catalog, self._restricted = catalog, [None] * len(catalog)
-
-    def restriction(self, j):
-        """(flats on H, space of H ≅ P^(n-1), pairs (flat, flat of H it
-        restricts to, None for all of H)) of the j-th catalog hyperplane H
-        (see :func:`_restrict`), made on first ask and kept."""
-        if self._restricted[j] is None:
-            h, on = self.catalog[j]
-            self._restricted[j] = (on, *_restrict(self.spans, self.n, h, on))
-        return self._restricted[j]
+        self.hyperplanes = [(on, *_restrict(spans, n, h, on))
+                            for h, on in catalog]
 
 
 def _restrict(spans, n, h, on):
@@ -863,11 +856,11 @@ def _peels(space, orders, d) -> bool:
         d -= a
         for i in inside:
             orders[i] = max(orders[i] - a, 0)
-    count, j, stale = len(space.catalog), 0, 0
+    hyperplanes, j, stale = space.hyperplanes, 0, 0
     while d >= max(orders, default=0):
-        if stale == count:
+        if stale == len(hyperplanes):
             return False
-        on, sub, pairs = space.restriction(j)
+        on, sub, pairs = hyperplanes[j]
         restricted, whole = [0] * sub.size, False
         for i, r in pairs:
             if r is None:
@@ -879,7 +872,7 @@ def _peels(space, orders, d) -> bool:
             for i in on:
                 orders[i] = max(orders[i] - 1, 0)
         else:
-            j, stale = (j + 1) % count, stale + 1
+            j, stale = (j + 1) % len(hyperplanes), stale + 1
     return True
 
 
@@ -887,7 +880,8 @@ class _Geometry:
     """A scheme's brackets, the same for every k: its components' spanning
     points, the floor of each k, the hyperplanes its products are made of,
     its catalog and the peel's space, each made on first use.  One serves
-    every alpha_table call on the scheme (see :func:`_geometry`)."""
+    the back-to-back alpha_table calls on the scheme (see
+    :func:`_geometry`)."""
 
     def __init__(self, scheme: FatFlatScheme):
         self.scheme = scheme
@@ -931,25 +925,20 @@ class _Geometry:
         return _peels(self.space, orders, d)
 
 
-# How many schemes' geometries :func:`_geometry` keeps, the oldest dropped.
-_GEOMETRIES = 8
-_geometries = {}
+_last = []  # the geometry of the scheme alpha_table last ran on, if any
 
 
 def _geometry(scheme: FatFlatScheme) -> _Geometry:
-    """The scheme's :class:`_Geometry`, shared by every alpha_table call
-    on it until ``_geometry.cache_clear()``.  It is keyed by
-    ``id(scheme)``, as hashing a scheme reads each of its Fractions; the
-    entry holds the scheme, so no other object takes that id meanwhile."""
-    got = _geometries.get(id(scheme))
-    if got is None or got.scheme is not scheme:
-        if len(_geometries) >= _GEOMETRIES:
-            del _geometries[next(iter(_geometries))]
-        got = _geometries[id(scheme)] = _Geometry(scheme)
-    return got
+    """The scheme's :class:`_Geometry`, shared by alpha_table calls on it
+    until one on another scheme or ``_geometry.cache_clear()``.  Every
+    caller asks for one scheme's k back to back, so only the last is kept;
+    it is matched by identity, as hashing a scheme reads each Fraction."""
+    if not _last or _last[0].scheme is not scheme:
+        _last[:] = [_Geometry(scheme)]
+    return _last[0]
 
 
-_geometry.cache_clear = _geometries.clear
+_geometry.cache_clear = _last.clear
 
 
 def _scan(records, orders, floors, products, geometry, make_tables,

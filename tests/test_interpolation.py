@@ -1,8 +1,6 @@
 import gc
-import importlib
-import pkgutil
+import importlib.util
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
@@ -11,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fatflats
 from fatflats import interpolation
 from fatflats.errors import CapExceededError, ValidationError
 from fatflats.interpolation import (
@@ -1115,31 +1112,8 @@ def test_restrictions_that_coincide_are_one_flat():
     other catalog plane."""
     space = interpolation._Geometry(
         _PEEL_SCHEMES["two lines of P^3 meeting at a point"]).space
-    images = [dict(space.restriction(j)[2])
-              for j in range(len(space.catalog))]
+    images = [dict(pairs) for _, _, pairs in space.hyperplanes]
     assert sum(image[0] == image[1] for image in images) == 1
-
-
-def _space_key(space):
-    return space.n, space.spans, space.divisors, space.catalog
-
-
-@pytest.mark.parametrize("name", sorted(_PEEL_SCHEMES))
-def test_each_restriction_is_made_as_restrict_makes_it(name):
-    """After alpha_table has peeled on the scheme, every catalog plane's
-    restriction, made by a peel or on this ask, is what :func:`_restrict`
-    makes of it: the flats on H, H's space and the pairs; asked again, it
-    is the same one."""
-    scheme = _PEEL_SCHEMES[name]
-    alpha_table(scheme, (1, 2, 3))
-    space = interpolation._geometry(scheme).space
-    assert space.catalog
-    for j, (h, on) in enumerate(space.catalog):
-        sub, pairs = interpolation._restrict(space.spans, space.n, h, on)
-        got = space.restriction(j)
-        assert got[0] == on and got[2] == pairs
-        assert _space_key(got[1]) == _space_key(sub)
-        assert space.restriction(j) is got
 
 
 def test_peel_proves_only_full_rank_degrees():
@@ -1260,29 +1234,25 @@ def test_warm_geometry_keeps_every_record(mode):
         assert alpha_table(scheme, (1, 2, 3), mode=mode) == cold
 
 
-def test_geometry_memo_keeps_the_last_eight_schemes():
-    """Nine distinct schemes leave the geometries of the last eight."""
-    schemes = [FatPointsP2([(0, 0, 1), (1, 0, 1), (i, 2, 1)],
-                           [1, 1, 1]).to_scheme() for i in range(9)]
-    for scheme in schemes:
-        alpha_symbolic(scheme, 1)
-    kept = [g.scheme for g in interpolation._geometries.values()]
-    assert len(kept) == 8
-    assert all(g is s for g, s in zip(kept, schemes[1:]))
+def test_geometry_memo_keeps_only_the_last_scheme():
+    """A call on another scheme drops the first one's geometry."""
+    second = _PEEL_SCHEMES["two lines of P^3 meeting at a point"]
+    alpha_symbolic(_PEEL_SCHEMES["collinear points"], 1)
+    alpha_symbolic(second, 1)
+    assert len(interpolation._last) == 1
+    assert interpolation._last[0].scheme is second
 
 
-def test_clearing_every_library_cache_empties_the_geometry_memo():
-    """The benchmark harness starts each pass cold by calling
-    ``cache_clear()`` on every module-level value of a ``fatflats`` module
-    that has one: each such call runs, and the geometry memo is empty."""
+def test_the_harness_cache_clearing_empties_the_geometry_memo(monkeypatch):
+    """perfbench/run.py's ``_clear_caches``, which starts each benchmark
+    pass cold, runs without error and leaves no scheme geometry kept."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports tracing
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
     alpha_symbolic(_PEEL_SCHEMES["collinear points"], 2)
-    assert interpolation._geometries
-    for info in pkgutil.iter_modules(fatflats.__path__):
-        importlib.import_module(f"fatflats.{info.name}")
-    for name, module in list(sys.modules.items()):
-        if module is None or not name.startswith("fatflats"):
-            continue
-        for value in list(vars(module).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-    assert not interpolation._geometries
+    assert interpolation._last
+    run._clear_caches()
+    assert not interpolation._last
