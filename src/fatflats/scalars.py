@@ -11,9 +11,11 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-# The search's two primes, the largest below linalg._PRIME_BOUND = 2^23:
-# the first searches, the second confirms each kernel it finds.  A k that
-# a hyperplane product closes needs neither to confirm it (see
+# The search's two primes, the largest below linalg._PRIME_BOUND = 2^23,
+# under which a product of two residues is below 2^46 and each sum of at
+# most 32 of them in the F_p kernel below 2^51, exact in int64.  The first
+# searches, the second confirms each kernel it finds.  A k that a
+# hyperplane product closes needs neither to confirm it (see
 # interpolation.alpha_table).
 DEFAULT_PRIMES = (8388593, 8388587)
 

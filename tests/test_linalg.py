@@ -8,7 +8,6 @@ from fatflats import linalg
 from fatflats.linalg import (
     _PANEL,
     _PRIME_BOUND,
-    _matmul_lift,
     bareiss_echelon,
     invert_matrix,
     matrix_rank,
@@ -296,8 +295,9 @@ def test_rank_kernel_modp_does_not_modify_input():
 
 
 def _blocked_cases(p):
-    """Seeded matrices spanning several 64-column panels and 16-column
-    sub-panels of the kernel."""
+    """Seeded matrices spanning several 32-column panels of the kernel,
+    with zero and dependent columns on both sides of panel boundaries and
+    rows that run out inside a panel or at its end."""
     rng = np.random.default_rng(20081)
 
     def rand(nrows, ncols):
@@ -314,16 +314,21 @@ def _blocked_cases(p):
     np.fill_diagonal(corner, 0)
     single_row = rand(1, 130)
     single_row[0, 0] = 0
-    # Zero and dependent columns on both sides of sub-panel and panel
-    # boundaries (columns 15/16 and 63/64).
+    # Zero and dependent columns on both sides of panel boundaries
+    # (columns 31/32, and 15/16 and 63/64 inside and between panels).
     boundary_zeros = rand(200, 150)
-    boundary_zeros[:, [15, 16, 63, 64]] = 0
+    boundary_zeros[:, [15, 16, 31, 32, 63, 64]] = 0
     across_sub = rand(200, 150)
     across_sub[:, 16] = (across_sub[:, 15] + 5 * across_sub[:, 2]) % p
     across_sub[:, 64] = (2 * across_sub[:, 63] + across_sub[:, 17]) % p
     across_panel = rand(200, 150)
     across_panel[:, 64] = (across_panel[:, 63] + 3 * across_panel[:, 16]
                            + across_panel[:, 40]) % p
+    # The first free column on the first panel boundary, and the only
+    # column right of that panel: column 32 depends on 31 and on 7.
+    across_first_panel = rand(200, 33)
+    across_first_panel[:, 32] = (4 * across_first_panel[:, 31]
+                                 + across_first_panel[:, 7]) % p
     # As tall as star's matrices (rows ~ 1.6 x columns) and rank deficient.
     star_like = (rng.integers(-2, 3, size=(240, 110))
                  @ rng.integers(-2, 3, size=(110, 150)))
@@ -342,13 +347,14 @@ def _blocked_cases(p):
         "zero-columns-at-boundaries": boundary_zeros,
         "depends-across-sub-panel": across_sub,
         "depends-across-panel": across_panel,
+        "depends-across-first-panel": across_first_panel,
         "rows-end-inside-sub-panel": rand(40, 150),
         "rows-end-inside-second-panel": rand(71, 150),
         "rows-end-at-sub-panel": rand(16, 40),
+        "rows-end-at-first-panel": rand(32, 100),
         "star-like-tall-low-rank": star_like,
-        # Entries from the top of the field, over two panels: the forward
-        # substitution of a block's pivot rows sums up to 63 products
-        # below p^2.
+        # Entries from the top of the field, over several panels: each
+        # sum of a panel's row operations has up to 32 products below p^2.
         "entries-near-p": rng.integers(p - (1 << 15), p, size=(200, 150),
                                        dtype=np.int64),
     }
@@ -380,19 +386,10 @@ def test_rank_kernel_modp_dependent_column_kernel():
     assert (kernel == expected).all()
 
 
-@pytest.mark.parametrize("p", [*DEFAULT_PRIMES, SMALL_FIELD_PRIME],
-                         ids=FIELD_PRIME_IDS)
-def test_block_product_exact_near_the_bound(p):
-    # DEFAULT_PRIMES[0] is the largest prime below _PRIME_BOUND (see
-    # test_scalars).  Entries from the top of [0, p) bring the partial
-    # sums of a _PANEL-term product close to _PANEL * p^2 < 2^52; below
-    # the bound even twice as many terms stay below 2^53 and cannot round.
-    assert _PANEL * (_PRIME_BOUND - 1) ** 2 < 2 ** 53
-    rng = np.random.default_rng(53)
-    a = rng.integers(p - (1 << 15), p, size=(40, _PANEL), dtype=np.int64)
-    b = rng.integers(p - (1 << 15), p, size=(_PANEL, 30), dtype=np.int64)
-    exact = a.astype(object) @ b.astype(object) % p
-    assert (_matmul_lift(a.astype(np.float64), b, p) % p == exact).all()
+def test_panel_sums_fit_in_int64():
+    # Each sum of a panel's row operations has at most _PANEL products of
+    # residues below _PRIME_BOUND, so it cannot wrap in int64.
+    assert _PANEL * (_PRIME_BOUND - 1) ** 2 < 2 ** 63
 
 
 @pytest.mark.parametrize("p", [1, _PRIME_BOUND, 1 << 31])
