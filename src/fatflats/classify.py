@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bounds import LowerBound, monotone_lower, nef_lower
 from .divisors import ComponentClass, DivisorClass, NefCertificate
 from .errors import ValidationError
-from .projective import collinear, line_through, no_three_collinear
+from .projective import hyperplane_through, primitive
 from .schemes import FatPointsP2
 
 CASE_A = "a"
@@ -63,6 +63,17 @@ def _not_below(config, reason, indices, mults, divisor, decomposition,
                           detail=detail)
 
 
+def _lines(points):
+    """The set of point indices on each line through two of the points,
+    each line once: the pairs grouped by the line they span."""
+    vectors = [primitive(p) for p in points]
+    lines = {}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        h = hyperplane_through([vectors[i], vectors[j]])
+        lines.setdefault(h, set()).update((i, j))
+    return list(lines.values())
+
+
 def classify(config: FatPointsP2) -> Classification:
     """Theorem-B decision procedure; see module docstring for the cases.
 
@@ -93,9 +104,10 @@ def classify(config: FatPointsP2) -> Classification:
                               point=i, multiplicity=m)
 
     doubles = [i for i, m in enumerate(mults) if m == 2]
+    lines = _lines(config.points)
 
     # (2) everything on one line: case a.
-    if len(config) == 1 or collinear(config.points):
+    if len(config) == 1 or any(len(on) == len(config) for on in lines):
         return Classification(CASE_A, alpha_hat=Fraction(2),
                               detail={"doubles": len(doubles),
                                       "simples": len(config) - len(doubles)})
@@ -105,9 +117,8 @@ def classify(config: FatPointsP2) -> Classification:
     # points are not all collinear.
     if len(doubles) >= 2:
         i, j = doubles[:2]
-        line = line_through(config.points[i], config.points[j])
-        k = next(k for k, p in enumerate(config.points)
-                 if line.evaluate(p) != 0)
+        on = next(on for on in lines if {i, j} <= on)
+        k = next(k for k in range(len(config)) if k not in on)
         return _not_below(config, TWO_DOUBLES, (i, j, k), (2, 2, 1),
                           DivisorClass(2, (1, 1, 1)),
                           [("line", (i, j)), ("line", (i, k)), ("E", (i,))])
@@ -115,20 +126,15 @@ def classify(config: FatPointsP2) -> Classification:
     (p0,) = doubles
     simples = [i for i in range(len(config)) if i != p0]
 
-    # Group the simple points by the line through p0 they determine.
-    groups = {}
-    for i in simples:
-        line = line_through(config.points[p0], config.points[i])
-        groups.setdefault(line, []).append(i)
-
-    # (4) two lines through the double covering the support: case b.
+    # (4) the simple points group by the line through p0 they lie on; two
+    # lines through the double covering the support: case b.
+    groups = [on - {p0} for on in lines if p0 in on]
     if len(groups) == 2:
-        sizes = sorted(len(g) for g in groups.values())
+        sizes = sorted(len(g) for g in groups)
         return Classification(CASE_B, alpha_hat=Fraction(2),
                               detail={"r": sizes[0], "s": sizes[1]})
 
-    simples_collinear = len(simples) >= 2 and collinear(
-        [config.points[i] for i in simples])
+    simples_collinear = any(set(simples) <= on for on in lines)
 
     # (5) exactly 3 collinear simples, double off their line: case c.
     if simples_collinear and len(config) == 4:
@@ -146,9 +152,9 @@ def classify(config: FatPointsP2) -> Classification:
                           n=n, value=str(Fraction(3 * n - 5, n - 1)))
 
     # (7) otherwise C~ = 2L - E_1 - ... - E_4 on a 4-subset in general
-    # position through the double, which exists (see above).
+    # position through the double, which exists (see above): no line holds
+    # three of its points.
     indices = next((p0, *trio) for trio in itertools.combinations(simples, 3)
-                   if no_three_collinear(
-                       [config.points[i] for i in (p0, *trio)]))
+                   if all(len(on & {p0, *trio}) < 3 for on in lines))
     return _not_below(config, GENERAL_POSITION_CONIC, indices, (2, 1, 1, 1),
                       DivisorClass(2, (1, 1, 1, 1)), [("conic", indices)])

@@ -15,11 +15,13 @@ members that avoid every other point.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from .errors import CertificateError, ValidationError
-from .interpolation import monomial_basis, monomial_eval
+from .interpolation import monomial_basis
 from .linalg import rank_kernel_rational
-from .projective import collinear, line_through, no_three_collinear
+from .projective import components_on, hyperplane_through, primitive, wedge
 from .schemes import FatPointsP2
 
 
@@ -87,35 +89,12 @@ class NefCertificate:
     decomposition: tuple  # ((ComponentClass, coeff), ...)
 
 
-def _curve_through(kind, pts):
-    """The equation of the one line or conic through the points, or None
-    when they do not fix it; raises when no irreducible curve of that kind
-    passes through them.  Five points with no three collinear impose
-    independent conditions on conics and lie on no pair of lines, so a
-    conic through them is unique and irreducible."""
-    if kind == "line":
-        if not pts:
-            raise ValidationError("line transform needs at least one point")
-        if len(pts) == 1:
-            return None
-        if not collinear(pts):
-            raise ValidationError("line-transform points are not collinear")
-        return line_through(pts[0], pts[1]).evaluate
-    if not no_three_collinear(pts):
-        raise ValidationError(
-            "cannot certify a conic through 3 collinear points")
-    if len(pts) < 5:
-        return None
-    mons = monomial_basis(3, 2)
-    _, conic = rank_kernel_rational(
-        [[monomial_eval(p, m) for m in mons] for p in pts])
-    if conic is None:
-        raise ValidationError("no conic passes through the conic's points")
-    return lambda p: sum(c * monomial_eval(p, m) for c, m in zip(conic, mons))
-
-
 def validate_component(comp: ComponentClass, config: FatPointsP2):
-    """Check the catalog class is an irreducible curve on this blow-up."""
+    """Check the catalog class is an irreducible curve on this blow-up, in
+    primitive integer points.  Five points with no three collinear impose
+    independent conditions on conics (their order-0 Hasse rows at degree
+    2) and lie on no pair of lines, so a conic through them is unique and
+    irreducible."""
     n = len(config)
     if any(not 0 <= i < n for i in comp.points):
         raise ValidationError("component point index out of range")
@@ -123,9 +102,32 @@ def validate_component(comp: ComponentClass, config: FatPointsP2):
         if len(comp.points) != 1:
             raise ValidationError("exceptional class names exactly one point")
         return
-    curve = _curve_through(comp.kind, [config.points[i] for i in comp.points])
-    if curve is not None and comp.points != tuple(
-            i for i, p in enumerate(config.points) if curve(p) == 0):
+    if len(set(comp.points)) != len(comp.points):
+        raise ValidationError("duplicate points")
+    points = [primitive(p) for p in config.points]
+    named = [points[i] for i in comp.points]
+    if comp.kind == "line":
+        if not named:
+            raise ValidationError("line transform needs at least one point")
+        if len(named) == 1:
+            return
+        on = components_on(hyperplane_through(named[:2]), [[p] for p in points])
+        if not set(comp.points) <= set(on):
+            raise ValidationError("line-transform points are not collinear")
+    else:
+        if any(not any(wedge(t).values()) for t in combinations(named, 3)):
+            raise ValidationError(
+                "cannot certify a conic through 3 collinear points")
+        if len(named) < 5:
+            return
+        rows = [[prod(x ** e for x, e in zip(p, m))
+                 for m in monomial_basis(3, 2)] for p in points]
+        _, conic = rank_kernel_rational([rows[i] for i in comp.points])
+        if conic is None:
+            raise ValidationError("no conic passes through the conic's points")
+        on = tuple(i for i, row in enumerate(rows)
+                   if not sum(c * x for c, x in zip(conic, row)))
+    if comp.points != on:
         raise ValidationError(f"{comp.kind} transform must list every "
                               "configuration point on it")
 

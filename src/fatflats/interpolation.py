@@ -67,13 +67,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .linalg import rank_kernel_modp, rank_kernel_rational
-from .projective import LinForm, Subspace, complete_basis
+from .projective import (
+    LinForm,
+    Subspace,
+    complete_basis,
+    components_on,
+    hyperplane_through,
+    normalized,
+    primitive,
+    wedge,
+)
 from .scalars import DEFAULT_PRIMES
 from .schemes import FatFlatScheme, symbolic_multiplicities
 
@@ -170,19 +179,6 @@ def _exponents(nvars: int, degree: int):
     return np.array(monomial_basis(nvars, degree), dtype=np.int64)
 
 
-def _primitive(v):
-    """A rational vector with a coordinate 1 (a point's ``basis[0]``, a
-    ``LinForm``'s coefficients) times the lcm of its denominators: a
-    primitive integer vector."""
-    scale = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (scale // x.denominator) for x in v)
-
-
-def _primitive_point(sub: Subspace):
-    """The point of a codim-N ``sub`` as a primitive integer vector."""
-    return _primitive(sub.basis[0])
-
-
 def _hasse_rows(point, d: int, kappa: int, p):
     """Order-r Hasse derivatives at ``point`` of the degree-d monomials,
     r = min(kappa, d + 1) - 1, mod p, or in Python ints (object arrays)
@@ -254,7 +250,7 @@ class _ExpansionTables:
         self.sub = sub
         self.nvars = sub.ambient_dim + 1
         self.e = sub.codim
-        self.point = _primitive_point(sub) if sub.is_point else None
+        self.point = primitive(sub.basis[0]) if sub.is_point else None
         self._degree, self._table = 0, np.ones(
             (1, 1), dtype=object if p is None else np.int64)
 
@@ -608,57 +604,8 @@ _PRODUCT_NODES = 2000
 
 def _spanning_points(scheme: FatFlatScheme):
     """Each component's spanning points, as primitive integer vectors."""
-    return [[_primitive(v) for v in c.subspace.basis]
+    return [[primitive(v) for v in c.subspace.basis]
             for c in scheme.components]
-
-
-def _components_on(h, spans):
-    """The indices of the components that the hyperplane with integer
-    coefficients ``h`` contains: h vanishes at each of their spanning
-    points, in Python ints."""
-    return tuple(i for i, points in enumerate(spans)
-                 if not any(sum(x * y for x, y in zip(h, v)) for v in points))
-
-
-def _wedge(points):
-    """{column r-subset: minor}, the maximal minors of r integer vectors
-    (the coordinates of v_1 ∧ ... ∧ v_r), built one row at a time by
-    Laplace expansion along the newest row; all 0 iff the v_i are
-    dependent."""
-    n = len(points[0])
-    minors = {(): 1}
-    for r, v in enumerate(points):
-        wedge = {}
-        for cols in combinations(range(n), r + 1):
-            total, sign = 0, 1 - 2 * (r & 1)  # (-1)^(r + i) from i = 0
-            for i, j in enumerate(cols):
-                total += sign * v[j] * minors[cols[:i] + cols[i + 1:]]
-                sign = -sign
-            wedge[cols] = total
-        minors = wedge
-    return minors
-
-
-def _normalized(v):
-    """An integer vector divided by its gcd, signed so that its first
-    nonzero entry is positive; None for the zero vector."""
-    g = gcd(*v)
-    if not g:
-        return None
-    sign = 1 if next(x for x in v if x) > 0 else -1
-    return tuple(sign * x // g for x in v)
-
-
-def _hyperplane_through(points):
-    """The hyperplane det(x, v_1, ..., v_N) = 0 through N integer points
-    of P^N, as primitive integer coefficients with a positive leading
-    entry, or None when the points are dependent.  Expanded along x, its
-    coefficients are the signed maximal minors of the v_i."""
-    n = len(points[0])
-    minors = _wedge(points)
-    return _normalized([(1 - 2 * (i & 1))
-                        * minors[tuple(c for c in range(n) if c != i)]
-                        for i in range(n)])
 
 
 def _hyperplane_catalog(spans, n):
@@ -673,9 +620,9 @@ def _hyperplane_catalog(spans, n):
         return []
     found = {}
     for chosen in combinations(vectors, n):
-        h = _hyperplane_through(chosen)
+        h = hyperplane_through(chosen)
         if h is not None:
-            found.setdefault(_components_on(h, spans), h)
+            found.setdefault(components_on(h, spans), h)
     sets = [set(on) for on in found]
     return [(h, on) for (on, h), held in zip(found.items(), sets)
             if on and not any(held < other for other in sets)]
@@ -801,7 +748,7 @@ class _Space:
         self.divisors = []
         for g, points in enumerate(spans):
             if len(points) == n:  # in P^1 a point, which holds no other
-                on = _components_on(_hyperplane_through(points), spans) \
+                on = components_on(hyperplane_through(points), spans) \
                     if n > 1 else ()
                 self.divisors.append((g, [i for i in on if i != g]))
         self.hyperplanes = [(on, *_restrict(spans, n, h, on))
@@ -814,7 +761,7 @@ def _restrict(spans, n, h, on):
     one dimension less (:func:`_meet`), and nothing for a point off H.
     Coordinates on H drop the first coordinate where h is nonzero, which h
     determines from the others.  Restrictions that coincide, by their
-    dimension and primitive Plücker vector (:func:`_wedge`; a point and a
+    dimension and primitive Plücker vector (:func:`wedge`; a point and a
     line of P^2 can share one), are one flat of H.  H's own catalog is
     that of its flats, in P^2 and up; in P^1 every flat is a divisor."""
     c = next(i for i, x in enumerate(h) if x)
@@ -823,11 +770,11 @@ def _restrict(spans, n, h, on):
         cut = points if i in held else _meet(points, h)
         if not cut:
             continue
-        cut = [_normalized(v[:c] + v[c + 1:]) for v in cut]
+        cut = [normalized(v[:c] + v[c + 1:]) for v in cut]
         if len(cut) == n:
             pairs.append((i, None))
             continue
-        key = len(cut), _normalized(list(_wedge(cut).values()))
+        key = len(cut), normalized(list(wedge(cut).values()))
         j = keys.setdefault(key, len(flats))
         if j == len(flats):
             flats.append(cut)
@@ -907,8 +854,8 @@ class _Geometry:
         if star is None:
             return ([h for h, _ in self.catalog],
                     [on for _, on in self.catalog], _least_cover)
-        planes = [_primitive(h.coeffs) for h in star.hyperplanes]
-        return (planes, [_components_on(h, self.spans) for h in planes],
+        planes = [primitive(h.coeffs) for h in star.hyperplanes]
+        return (planes, [components_on(h, self.spans) for h in planes],
                 _balanced_cover)
 
     @cached_property
@@ -1061,7 +1008,7 @@ def _product_order(product: ProductWitness, sub: Subspace) -> int:
     as integer rows each is nonzero at its own pivot and 0 at the others':
     clearing H_j's entry at each pivot, fraction-free, leaves 0 exactly
     when H_j lies in their span."""
-    rows = [(_primitive(f.coeffs), p) for f, p in zip(sub.forms, sub.pivots)]
+    rows = [(primitive(f.coeffs), p) for f, p in zip(sub.forms, sub.pivots)]
     order = 0
     for h, a in product.factors:
         for row, p in rows:

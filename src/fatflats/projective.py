@@ -1,10 +1,13 @@
-"""Projective linear geometry over exact rationals.
+"""Projective linear geometry, exact.
 
-Hyperplanes are linear forms up to scale, linear subspaces are given by
-independent defining forms, and everything is canonicalized so that
-equality of subspaces is syntactic equality of the reduced row echelon
-form (RREF) of their defining-form matrices.  A subspace's points and its
+Flats are Fractions in reduced row echelon form (RREF): hyperplanes are
+linear forms up to scale, linear subspaces are given by independent
+defining forms, and equality of subspaces is syntactic equality of the
+RREF of their defining-form matrices.  A subspace's points and its
 adapted inverse are read off that RREF without a second elimination.
+Points, and the hyperplanes through points, are primitive integer
+vectors, and which points lie on which hyperplane is decided by integer
+minors.
 """
 
 import itertools
@@ -12,9 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .errors import GenericityError, RankDeficiencyError, ValidationError
-from .linalg import invert_matrix, matrix_rank, rref_fractions
+from .linalg import invert_matrix, rref_fractions
 
 _COEFF_RANGE = 10_000  # random hyperplane coefficients live in [-1e4, 1e4]
 _MAX_RETRIES = 64
@@ -183,34 +187,74 @@ def point_coords(sub: Subspace):
     return normalize_point(sub.basis[0])
 
 
-def line_through(p, q) -> LinForm:
-    """The line of P^2 through two distinct points (cross product)."""
-    p = normalize_point(p)
-    q = normalize_point(q)
-    if p == q:
-        raise ValidationError("points coincide")
-    a = p[1] * q[2] - p[2] * q[1]
-    b = p[2] * q[0] - p[0] * q[2]
-    c = p[0] * q[1] - p[1] * q[0]
-    return LinForm((a, b, c))
-
-
 def collinear(points) -> bool:
-    """Exact collinearity of >= 2 distinct points of P^2 via 3x3 minors."""
-    pts = [normalize_point(p) for p in points]
+    """Exact collinearity of >= 2 distinct points of P^N: with the first
+    two, every other point spans no plane, all its 3x3 minors 0."""
+    pts = [primitive(normalize_point(p)) for p in points]
     if len(pts) < 2:
         raise ValidationError("need at least two points")
     if len(set(pts)) != len(pts):
         raise ValidationError("duplicate points")
-    if len(pts) == 2:
-        return True
-    line = line_through(pts[0], pts[1])
-    return all(line.evaluate(p) == 0 for p in pts[2:])
+    return not any(any(wedge(pts[:2] + [p]).values()) for p in pts[2:])
 
 
-def no_three_collinear(points) -> bool:
-    """No three of the distinct points of P^2 lie on a line."""
-    return not any(collinear(t) for t in itertools.combinations(points, 3))
+# -- integer points and the hyperplanes through them --------------------------
+
+def primitive(v):
+    """A rational vector with a coordinate 1 (a normalized point, a point's
+    ``basis[0]``, a ``LinForm``'s coefficients) times the lcm of its
+    denominators: a primitive integer vector."""
+    scale = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
+
+
+def normalized(v):
+    """An integer vector divided by its gcd, signed so that its first
+    nonzero entry is positive; None for the zero vector."""
+    g = gcd(*v)
+    if not g:
+        return None
+    sign = 1 if next(x for x in v if x) > 0 else -1
+    return tuple(sign * x // g for x in v)
+
+
+def wedge(points):
+    """{column r-subset: minor}, the maximal minors of r integer vectors
+    (the coordinates of v_1 ∧ ... ∧ v_r), built one row at a time by
+    Laplace expansion along the newest row; all 0 iff the v_i are
+    dependent."""
+    n = len(points[0])
+    minors = {(): 1}
+    for r, v in enumerate(points):
+        step = {}
+        for cols in itertools.combinations(range(n), r + 1):
+            total, sign = 0, 1 - 2 * (r & 1)  # (-1)^(r + i) from i = 0
+            for i, j in enumerate(cols):
+                total += sign * v[j] * minors[cols[:i] + cols[i + 1:]]
+                sign = -sign
+            step[cols] = total
+        minors = step
+    return minors
+
+
+def hyperplane_through(points):
+    """The hyperplane det(x, v_1, ..., v_N) = 0 through N integer points
+    of P^N, as primitive integer coefficients with a positive leading
+    entry, or None when the points are dependent.  Expanded along x, its
+    coefficients are the signed maximal minors of the v_i."""
+    n = len(points[0])
+    minors = wedge(points)
+    return normalized([(1 - 2 * (i & 1))
+                       * minors[tuple(c for c in range(n) if c != i)]
+                       for i in range(n)])
+
+
+def components_on(h, spans):
+    """The indices of the components that the hyperplane with integer
+    coefficients ``h`` contains: h vanishes at each of their spanning
+    points, in Python ints."""
+    return tuple(i for i, points in enumerate(spans)
+                 if not any(sum(x * y for x, y in zip(h, v)) for v in points))
 
 
 # -- seeded generation --------------------------------------------------------
@@ -223,16 +267,14 @@ def _random_form(rng, n):
 
 
 def hyperplanes_general(forms) -> bool:
-    """Finite genericity proxy: every subset of size <= N+1 independent."""
+    """Finite genericity proxy: every subset of size <= N+1 independent,
+    that is, some maximal minor of its primitive integer rows is nonzero."""
     forms = list(forms)
     if not forms:
         return True
-    n = forms[0].ambient_dim
-    k = min(len(forms), n + 1)
-    for subset in itertools.combinations(forms, k):
-        if matrix_rank([list(f.coeffs) for f in subset]) != k:
-            return False
-    return True
+    k = min(len(forms), forms[0].ambient_dim + 1)
+    return all(any(wedge([primitive(f.coeffs) for f in subset]).values())
+               for subset in itertools.combinations(forms, k))
 
 
 def random_general_hyperplanes(N, s, seed):

@@ -18,11 +18,12 @@ from .projective import (
     Subspace,
     collinear,
     hyperplane_subspace,
+    hyperplane_through,
     hyperplanes_general,
     intersect_hyperplanes,
-    line_through,
     normalize_point,
     point_subspace,
+    primitive,
     random_general_hyperplanes,
     random_point_on,
     subspace_contains,
@@ -381,4 +382,4 @@ def support_line(fp: FatPointsP2) -> LinForm:
     """The line carrying a collinear configuration."""
     if not collinear(fp.points):
         raise ValidationError("configuration is not collinear")
-    return line_through(fp.points[0], fp.points[1])
+    return LinForm(hyperplane_through([primitive(p) for p in fp.points[:2]]))

@@ -33,7 +33,6 @@ from .classify import (
 from .divisors import ComponentClass, DivisorClass, NefCertificate, lower_bound
 from .errors import ValidationError
 from .interpolation import (
-    _primitive,
     alpha_symbolic,
     alpha_table,
     form_product,
@@ -48,8 +47,9 @@ from .projective import (
     LinForm,
     Subspace,
     hyperplane_subspace,
-    line_through,
+    hyperplane_through,
     point_subspace,
+    primitive,
     random_general_hyperplanes,
     random_point_on,
 )
@@ -112,7 +112,7 @@ def check_star_p3_linear():
                 and membership(product, scheme, r.k),
                 f"hyperplane product of degree {product.degree} "
                 f"not in I^({r.k})")
-        factors = sorted((_primitive(h.coeffs), a) for h, a in products[r.k])
+        factors = sorted((primitive(h.coeffs), a) for h, a in products[r.k])
         _expect(r.primes is None and sorted(r.witness.factors) == factors
                 and _proportional(r.witness.expand(), product),
                 f"engine witness at k={r.k} is not its star product")
@@ -217,11 +217,11 @@ def check_case_c():
             f"classified {result.case}")
     scheme = config.to_scheme()
     _expect(_alphas(scheme, [3]) == [7], "alpha(I^(3)) != 7")
-    p1, p2, p3, p4 = config.points
-    witness = form_product([(line_through(p1, p2), 2),
-                            (line_through(p1, p3), 2),
-                            (line_through(p1, p4), 2),
-                            (line_through(p2, p3), 1)])
+    p1, p2, p3, p4 = (primitive(p) for p in config.points)
+    witness = form_product([(hyperplane_through([p1, p2]), 2),
+                            (hyperplane_through([p1, p3]), 2),
+                            (hyperplane_through([p1, p4]), 2),
+                            (hyperplane_through([p2, p3]), 1)])
     _expect(membership(witness, scheme, 3), "witness not in I^(3)")
     cert = NefCertificate(
         divisor=DivisorClass(3, (2, 1, 1, 1)),

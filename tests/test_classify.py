@@ -80,6 +80,17 @@ def test_figure3_bound_grows_with_n():
                                                    result.subscheme_indices))
 
 
+def test_complete_for_any_number_of_points():
+    """92 points make 4186 pairs, more than the search's hyperplane catalog
+    takes: the classifier reads every line all the same."""
+    config = build_theorem_b_family("z", {"n": 92})
+    result = classify(config)
+    assert result.case == NOT_BELOW and result.reason == FIGURE_3
+    assert result.lower.value == Fraction(3 * 92 - 5, 91)
+    result = classify(build_theorem_b_family("b", {"r": 45, "s": 46}))
+    assert result.case == CASE_B and result.detail == {"r": 45, "s": 46}
+
+
 def test_n4_collinear_simples_is_case_c_not_figure3():
     result = classify(build_theorem_b_family("z", {"n": 4}))
     assert result.case == CASE_C

@@ -416,6 +416,33 @@ def test_nef_check(runner, tmp_path):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("kind,named,drops,status,message", [
+    ("line", [0, 0], [1, 0, 0], 4, "duplicate points"),
+    ("line", [1, 1, 2], [0, 1, 1], 4, "duplicate points"),
+    ("conic", [0, 0, 1], [1, 1, 0], 4, "duplicate points"),
+    ("conic", [0, 0], [1, 0, 0], 4, "duplicate points"),
+    ("line", [], [0, 0, 0], 4, "at least one point"),
+    ("conic", [], [0, 0, 0], 0, "lower bound 0"),
+], ids=["line-twice", "line-twice-and-one", "conic-twice-and-one",
+        "conic-twice", "line-no-point", "conic-no-point"])
+def test_nef_check_component_edge_cases(runner, tmp_path, kind, named, drops,
+                                        status, message):
+    """A line or conic naming one point twice is refused, as is a line
+    naming no point; a conic naming no point is some conic, so
+    tL - (that conic) is accepted.  Each certificate is the one curve,
+    which its divisor meets non-negatively, so only the curve decides."""
+    points = tmp_path / "points.json"
+    _invoke(runner, ["build", "thmb-family", "--case", "zprime",
+                     "-o", str(points)])
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "t": 1 if kind == "line" else 2, "drops": drops,
+        "decomposition": [{"kind": kind, "points": named, "coeff": 1}]}))
+    result = runner.invoke(main, ["nef-check", str(cert), str(points)])
+    assert result.exit_code == status
+    assert message in result.output
+
+
 # 5L - 2E_0 - ... - 2E_4 - E_5 on six double points of the conic
 # y^2 = xz, as twice the conic through points 0-4 plus a line through
 # point 5: it read "certified nef; lower bound 22/5" although the constant

@@ -12,6 +12,9 @@ with each witness expanded into its terms is kept as
 ``bounds_star_2_2_5_expanded.json``, the oracle for ``expand()``.  The
 seven-point bounds golden is the one whose k are found by elimination mod
 p: each closes by a first-prime kernel that the second prime confirms.
+The three classify goldens cover case c, the Figure-3 bound and the
+general-position conic; their points files came from ``fatflats build
+thmb-family`` with ``--case c``, ``--case z --n 5`` and ``--case wprime``.
 """
 
 import hashlib
@@ -49,8 +52,12 @@ DATA = Path(__file__).parent / "data"
      "quasi_star_4_seed1.json"),
     (["build", "star", "--n", "4", "--e", "2", "--s", "5", "--seed", "3"],
      "star_4_2_5_seed3.json"),
+    (["classify", "thmb_c.json"], "classify_thmb_c.json"),
+    (["classify", "thmb_z_5.json"], "classify_thmb_z_5.json"),
+    (["classify", "thmb_wprime.json"], "classify_thmb_wprime.json"),
 ], ids=["alpha-modp", "alpha-rational", "bounds-rational", "bounds-star",
-        "bounds-seven-points-modp", "build-quasi-star", "build-star-p4"])
+        "bounds-seven-points-modp", "build-quasi-star", "build-star-p4",
+        "classify-case-c", "classify-figure3", "classify-conic"])
 def test_cli_output_is_byte_identical(args, golden, monkeypatch):
     monkeypatch.chdir(DATA)  # the bounds report's label is the path given
     result = CliRunner().invoke(main, args, catch_exceptions=False)

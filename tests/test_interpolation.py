@@ -29,7 +29,13 @@ from fatflats.interpolation import (
     require_alpha,
 )
 from fatflats.linalg import rank_kernel_modp, rank_kernel_rational
-from fatflats.projective import LinForm, Subspace, point_subspace
+from fatflats.projective import (
+    LinForm,
+    Subspace,
+    components_on,
+    hyperplane_through,
+    point_subspace,
+)
 from fatflats.scalars import DEFAULT_PRIMES
 from fatflats.serialization import load_json, scheme_from_dict
 from fatflats.schemes import (
@@ -853,7 +859,7 @@ def test_hyperplane_through_points():
         for _ in range(20):
             points = [tuple(rng.randint(-2, 2) for _ in range(n + 1))
                       for _ in range(n)]
-            h = interpolation._hyperplane_through(points)
+            h = hyperplane_through(points)
             if rank_kernel_rational(points)[0] < n:
                 assert h is None
                 continue
@@ -861,9 +867,8 @@ def test_hyperplane_through_points():
             assert all(sum(x * y for x, y in zip(h, v)) == 0 for v in points)
             assert gcd(*h) == 1 and next(x for x in h if x) > 0
     assert spanned > 30
-    assert interpolation._hyperplane_through([(1, 2, 3), (-2, -4, -6)]) is None
-    assert interpolation._hyperplane_through([(1, 0, 0), (0, 1, 0)]) == \
-        (0, 0, 1)
+    assert hyperplane_through([(1, 2, 3), (-2, -4, -6)]) is None
+    assert hyperplane_through([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
 
 
 def test_catalog_keeps_one_hyperplane_per_maximal_set():
@@ -877,7 +882,7 @@ def test_catalog_keeps_one_hyperplane_per_maximal_set():
     assert sorted(on for _, on in catalog) == [(0, 1, 2), (0, 3), (1, 3),
                                                (2, 3)]
     for h, on in catalog:
-        assert interpolation._components_on(h, spans) == on
+        assert components_on(h, spans) == on
     assert dict((on, h) for h, on in catalog)[(0, 1, 2)] == (0, 1, 0)
 
 

@@ -15,12 +15,13 @@ from fatflats.projective import (
     collinear,
     complete_basis,
     hyperplane_subspace,
+    hyperplane_through,
     hyperplanes_general,
     intersect_hyperplanes,
-    line_through,
     normalize_point,
     point_coords,
     point_subspace,
+    primitive,
     random_general_hyperplanes,
     random_point_on,
     subspace_contains,
@@ -62,19 +63,29 @@ def test_normalize_point_leading_one():
     assert normalize_point((Fraction(1, 2), 1, 0)) == (1, 2, 0)
 
 
-def test_line_through_contains_both_points():
+def test_hyperplane_through_contains_both_points():
+    """The line through two points of P^2 holds both; two representatives
+    of one point span no line."""
     p, q = (1, 2, 1), (3, -1, 1)
-    line = line_through(p, q)
-    assert line.evaluate(p) == 0 and line.evaluate(q) == 0
-    with pytest.raises(ValidationError):
-        line_through(p, (2, 4, 2))
+    line = hyperplane_through([p, q])
+    assert LinForm(line).evaluate(p) == 0 and LinForm(line).evaluate(q) == 0
+    assert hyperplane_through([p, (2, 4, 2)]) is None
+    half = normalize_point((Fraction(1, 2), 1, Fraction(1, 3)))
+    assert primitive(half) == (3, 6, 2)
+    assert hyperplane_through([primitive(half), (6, 12, 4)]) is None
 
 
 def test_collinear():
     assert collinear([(0, 0, 1), (1, 0, 1), (2, 0, 1)])
     assert not collinear([(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    assert collinear([(1, 0, 1), (0, 1, 1)])  # two points always are
+    # In P^3 every coordinate counts, not only the first three.
+    assert collinear([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])
+    assert not collinear([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 5)])
     with pytest.raises(ValidationError):
         collinear([(1, 0, 1), (2, 0, 2)])  # duplicates
+    with pytest.raises(ValidationError):
+        collinear([(1, 0, 1)])
 
 
 def test_complete_basis_adapts_subspace():
