@@ -38,7 +38,6 @@ from .projective import (  # noqa: F401
     LinForm,
     Subspace,
     collinear,
-    complete_basis,
     intersect_hyperplanes,
     random_general_hyperplanes,
     subspace_contains,

@@ -76,7 +76,6 @@ from .linalg import rank_kernel_modp, rank_kernel_rational
 from .projective import (
     LinForm,
     Subspace,
-    complete_basis,
     components_on,
     hyperplane_through,
     normalized,
@@ -157,13 +156,18 @@ def _selected_betas(nvars, d, e, kappa):
 # -- adapted-coordinate expansion tables ---------------------------------------
 
 def _integral_change(sub: Subspace):
-    """``complete_basis(sub).inverse`` with column j times c_j, the lcm of
-    its denominators.  Scaling column j by c_j multiplies condition row
-    beta by prod c_j^beta_j != 0, so over Q the row space, rank and kernel
-    are unchanged, and over F_p too when p divides no c_j."""
-    inverse = complete_basis(sub).inverse
-    scales = [lcm(*(x.denominator for x in col)) for col in zip(*inverse)]
-    return [[int(x * c) for x, c in zip(row, scales)] for row in inverse]
+    """The adapted change x = B w of ``sub``, as integer rows: B's columns
+    are the unit vectors at ``sub.pivots``, then ``sub.spans``.  Canonical
+    form i is 1 at its own pivot, 0 at the others and on ``sub.spans``, so
+    it reads w_i, and ``sub`` is {w_0 = ... = w_{e-1} = 0}.  Column j is
+    c_j, the lcm of its denominators, times the matching column of the
+    Fraction inverse of the forms completed by unit rows.  Scaling column
+    j by c_j multiplies condition row beta by prod c_j^beta_j != 0, so
+    over Q the row space, rank and kernel are unchanged, and over F_p too
+    when p divides no c_j."""
+    n = sub.ambient_dim + 1
+    units = [tuple(int(j == piv) for j in range(n)) for piv in sub.pivots]
+    return [list(row) for row in zip(*units, *sub.spans)]
 
 
 def _mod(x, p):
@@ -250,7 +254,7 @@ class _ExpansionTables:
         self.sub = sub
         self.nvars = sub.ambient_dim + 1
         self.e = sub.codim
-        self.point = primitive(sub.basis[0]) if sub.is_point else None
+        self.point = sub.spans[0] if sub.is_point else None
         self._degree, self._table = 0, np.ones(
             (1, 1), dtype=object if p is None else np.int64)
 
@@ -602,12 +606,6 @@ _CATALOG_SUBSETS = 4000
 _PRODUCT_NODES = 2000
 
 
-def _spanning_points(scheme: FatFlatScheme):
-    """Each component's spanning points, as primitive integer vectors."""
-    return [[primitive(v) for v in c.subspace.basis]
-            for c in scheme.components]
-
-
 def _hyperplane_catalog(spans, n):
     """[(h, on)]: one hyperplane h through N independent spanning points
     per maximal set ``on`` of the components it contains, the first found
@@ -833,7 +831,7 @@ class _Geometry:
     def __init__(self, scheme: FatFlatScheme):
         self.scheme = scheme
         self.n = scheme.ambient_dim
-        self.spans = _spanning_points(scheme)
+        self.spans = [c.subspace.spans for c in scheme.components]
 
     def floor(self, k, orders) -> int:
         """A proved lower bound on alpha(I^(k)), ``orders`` its k*mu_i:
@@ -1008,7 +1006,7 @@ def _product_order(product: ProductWitness, sub: Subspace) -> int:
     as integer rows each is nonzero at its own pivot and 0 at the others':
     clearing H_j's entry at each pivot, fraction-free, leaves 0 exactly
     when H_j lies in their span."""
-    rows = [(primitive(f.coeffs), p) for f, p in zip(sub.forms, sub.pivots)]
+    rows = list(zip(sub.equations, sub.pivots))
     order = 0
     for h, a in product.factors:
         for row, p in rows:

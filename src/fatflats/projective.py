@@ -1,12 +1,15 @@
 """Projective linear geometry, exact.
 
-Flats are Fractions in reduced row echelon form (RREF): hyperplanes are
-linear forms up to scale, linear subspaces are given by independent
-defining forms, and equality of subspaces is syntactic equality of the
-RREF of their defining-form matrices.  A subspace's points and its
-adapted inverse are read off that RREF without a second elimination.
-Points, and the hyperplanes through points, are primitive integer
-vectors, and which points lie on which hyperplane is decided by integer
+Flats are Fractions in reduced row echelon form (RREF), their canonical
+and serialized form: hyperplanes are linear forms up to scale, linear
+subspaces are given by independent defining forms, and equality of
+subspaces is syntactic equality of the RREF of their defining-form
+matrices.  Each subspace reads one integer view off its RREF, with no
+second elimination: ``spans``, primitive integer points spanning it, and
+``equations``, its forms as primitive integer vectors.  Every incidence
+question reads that view in Python ints: whether a flat contains another
+flat or a point (every equation vanishes at every spanning point), and
+which points lie on the hyperplanes through points, decided by integer
 minors.
 """
 
@@ -24,11 +27,12 @@ _COEFF_RANGE = 10_000  # random hyperplane coefficients live in [-1e4, 1e4]
 _MAX_RETRIES = 64
 
 
-def _canonical_coeffs(coeffs):
+def _canonical_coeffs(coeffs,
+                      zero="linear form must have a nonzero coefficient"):
     vals = tuple(Fraction(c) for c in coeffs)
     lead = next((c for c in vals if c != 0), None)
     if lead is None:
-        raise ValidationError("linear form must have a nonzero coefficient")
+        raise ValidationError(zero)
     return tuple(c / lead for c in vals)
 
 
@@ -44,9 +48,6 @@ class LinForm:
     @property
     def ambient_dim(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, point_coords):
-        return sum(c * Fraction(x) for c, x in zip(self.coeffs, point_coords))
 
 
 @dataclass(frozen=True)
@@ -100,20 +101,15 @@ class Subspace:
             out.append(tuple(v))
         return tuple(out)
 
-    def contains_point(self, coords) -> bool:
-        return all(f.evaluate(coords) == 0 for f in self.forms)
+    @cached_property
+    def spans(self) -> tuple:
+        """``basis`` as primitive integer vectors: points spanning it."""
+        return tuple(primitive(v) for v in self.basis)
 
-
-@dataclass(frozen=True)
-class CoordChange:
-    """Invertible change of coordinates adapted to a subspace.
-
-    The first e rows of ``matrix`` are the subspace's defining forms, so
-    in the new coordinates the subspace is {w_0 = ... = w_{e-1} = 0}.
-    """
-
-    matrix: tuple
-    inverse: tuple
+    @cached_property
+    def equations(self) -> tuple:
+        """The canonical forms as primitive integer vectors."""
+        return tuple(primitive(f.coeffs) for f in self.forms)
 
 
 def intersect_hyperplanes(forms, indices):
@@ -129,38 +125,19 @@ def intersect_hyperplanes(forms, indices):
     return Subspace(n, chosen)
 
 
-def complete_basis(sub: Subspace) -> CoordChange:
-    """Extend the defining forms to an invertible (N+1)x(N+1) matrix.
-
-    Coordinate unit rows are appended, one per non-pivot column of the
-    form matrix, in increasing column order.  The inverse's columns are
-    the unit vectors at the pivots, then ``sub.basis``.  Proof: form i is
-    1 at its own pivot, 0 at the others and on ``sub.basis``; unit row c
-    is 0 at every pivot and, on ``sub.basis``, 1 only at column c's vector.
-    """
-    n = sub.ambient_dim + 1
-    units = [tuple(Fraction(int(j == c)) for j in range(n)) for c in range(n)]
-    matrix = tuple(f.coeffs for f in sub.forms) + tuple(
-        units[c] for c in range(n) if c not in sub.pivots)
-    columns = [units[piv] for piv in sub.pivots] + list(sub.basis)
-    return CoordChange(matrix=matrix, inverse=tuple(zip(*columns)))
-
-
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is contained in a as projective sets.
-
-    Set-theoretically b ⊆ a iff a contains every vector spanning b.
-    """
+    """True iff b is contained in a as projective sets: every equation
+    of a vanishes at every point spanning b, in integers."""
     if a.ambient_dim != b.ambient_dim:
         raise ValidationError("ambient dimension mismatch")
-    return all(a.contains_point(v) for v in b.basis)
+    return all(components_on(h, [b.spans]) for h in a.equations)
 
 
 # -- points in P^N as codimension-N subspaces --------------------------------
 
 def normalize_point(coords):
     """Canonical homogeneous coordinates: first nonzero entry is 1."""
-    return _canonical_coeffs(coords)
+    return _canonical_coeffs(coords, "a point needs a nonzero coordinate")
 
 
 def point_subspace(coords) -> Subspace:
@@ -180,13 +157,6 @@ def point_subspace(coords) -> Subspace:
     return Subspace(n, forms)
 
 
-def point_coords(sub: Subspace):
-    """Coordinates of a point given as a codim-N subspace."""
-    if not sub.is_point:
-        raise ValidationError("subspace is not a point")
-    return normalize_point(sub.basis[0])
-
-
 def collinear(points) -> bool:
     """Exact collinearity of >= 2 distinct points of P^N: with the first
     two, every other point spans no plane, all its 3x3 minors 0."""
@@ -201,9 +171,9 @@ def collinear(points) -> bool:
 # -- integer points and the hyperplanes through them --------------------------
 
 def primitive(v):
-    """A rational vector with a coordinate 1 (a normalized point, a point's
-    ``basis[0]``, a ``LinForm``'s coefficients) times the lcm of its
-    denominators: a primitive integer vector."""
+    """A rational vector with a coordinate 1 (a normalized point, a
+    ``Subspace.basis`` vector, a ``LinForm``'s coefficients) times the lcm
+    of its denominators: a primitive integer vector."""
     scale = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (scale // x.denominator) for x in v)
 
@@ -301,7 +271,9 @@ def random_point_on(sub: Subspace, rng, avoid=()):
             continue
         pt = normalize_point([sum(w * x for w, x in zip(weights, col))
                               for col in zip(*sub.basis)])
-        if all(not other.contains_point(pt) for other in avoid):
+        points = [primitive(pt)]
+        if not any(all(components_on(h, [points]) for h in other.equations)
+                   for other in avoid):
             return pt
     raise GenericityError("could not find a point avoiding the given loci")
 

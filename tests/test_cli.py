@@ -502,6 +502,24 @@ def test_classify_command(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_zero_point_is_refused_as_a_point(runner, tmp_path):
+    """A points file with the zero point exits 2 saying that a point
+    needs a nonzero coordinate; a zero form in a scheme file keeps the
+    linear form's message."""
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 1]],
+                                  "multiplicities": [2, 1]}))
+    result = runner.invoke(main, ["classify", str(points)])
+    assert result.exit_code == 2
+    assert "error: a point needs a nonzero coordinate" in result.output
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"ambient_dim": 2, "components": [
+        {"forms": [[0, 0, 0], [0, 1, 0]], "multiplicity": 1}]}))
+    result = runner.invoke(main, ["alpha", str(scheme)])
+    assert result.exit_code == 2
+    assert "linear form must have a nonzero coefficient" in result.output
+
+
 def test_verify_paper_filter(runner):
     result = _invoke(runner, ["verify-paper", "--only", "criterion-11"])
     assert result.exit_code == 0

@@ -15,6 +15,13 @@ p: each closes by a first-prime kernel that the second prime confirms.
 The three classify goldens cover case c, the Figure-3 bound and the
 general-position conic; their points files came from ``fatflats build
 thmb-family`` with ``--case c``, ``--case z --n 5`` and ``--case wprime``.
+The four-lines bounds goldens, mod p and over Q, are the ones that build
+expansion tables: ``four_lines_p3.json`` holds four skew lines of P^3
+with multiplicity 1, written by ``scheme_to_dict`` from the forms
+``[[-1, 4, -2, 1], [3, -3, -4, 3]]``, ``[[0, 4, -1, -1], [3, 4, 4, 3]]``,
+``[[2, -2, -1, -2], [4, 2, -4, -3]]`` and ``[[-2, -4, 0, -4], [0, 3, 2,
+2]]``, whose reduced forms have largest denominators 9, 4, 6 and 3; every k
+closes by a kernel.
 """
 
 import hashlib
@@ -55,9 +62,14 @@ DATA = Path(__file__).parent / "data"
     (["classify", "thmb_c.json"], "classify_thmb_c.json"),
     (["classify", "thmb_z_5.json"], "classify_thmb_z_5.json"),
     (["classify", "thmb_wprime.json"], "classify_thmb_wprime.json"),
+    (["bounds", "four_lines_p3.json", "--k-max", "2", "--mode", "modp"],
+     "bounds_four_lines_p3_modp.json"),
+    (["bounds", "four_lines_p3.json", "--k-max", "2", "--mode", "rational"],
+     "bounds_four_lines_p3_rational.json"),
 ], ids=["alpha-modp", "alpha-rational", "bounds-rational", "bounds-star",
         "bounds-seven-points-modp", "build-quasi-star", "build-star-p4",
-        "classify-case-c", "classify-figure3", "classify-conic"])
+        "classify-case-c", "classify-figure3", "classify-conic",
+        "bounds-four-lines-modp", "bounds-four-lines-rational"])
 def test_cli_output_is_byte_identical(args, golden, monkeypatch):
     monkeypatch.chdir(DATA)  # the bounds report's label is the path given
     result = CliRunner().invoke(main, args, catch_exceptions=False)
@@ -88,6 +100,24 @@ def test_seven_points_modp_witnesses_are_pinned():
         1: "b40eb4a27b6d6d6c7ca51cbc036a925a88586f0aeb17a5965d68b9a853241325",
         2: "03493ba356d153467377f3705e4acade89cc504e6c5d1cad5f44ebb812dda070",
         3: "912ac442e0a1a8236f3877adca8ffc3ccc966668da3f307c8fbc121d4382c21a",
+    }
+    for record in report.table:
+        witness = record.witness
+        assert (record.alpha, witness.degree) == (3 * record.k, 3 * record.k)
+        assert witness.field == DEFAULT_PRIMES[0]
+        assert hashlib.sha256(witness.packed).hexdigest() == \
+            expected[record.k], record.k
+
+
+def test_four_lines_modp_witnesses_are_pinned():
+    """The four-lines mod-p golden prints no witness, so the sha256 of
+    each k's kernel form mod the first prime is pinned here.  Its rows are
+    read off the lines' expansion tables, through their adapted changes."""
+    scheme = scheme_from_dict(load_json(DATA / "four_lines_p3.json"))
+    report = upper_bounds(scheme, 2, label="four_lines_p3.json")
+    expected = {
+        1: "83525183c5aadc3069cdf83e78930d3214cb44a63015ff6034f37921d943d2ff",
+        2: "199bc592890debc60ec432fb2724ba8337e972c7893a706af9afd001e564c7d2",
     }
     for record in report.table:
         witness = record.witness

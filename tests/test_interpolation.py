@@ -34,6 +34,7 @@ from fatflats.projective import (
     Subspace,
     components_on,
     hyperplane_through,
+    normalize_point,
     point_subspace,
 )
 from fatflats.scalars import DEFAULT_PRIMES
@@ -134,8 +135,7 @@ def test_engine_matches_derivative_oracle_on_random_points():
 
 def test_star_p2_derivative_oracle(star25):
     scheme = star25
-    from fatflats.projective import point_coords
-    pts = [point_coords(c.subspace) for c in scheme.components]
+    pts = [normalize_point(c.subspace.basis[0]) for c in scheme.components]
     config = FatPointsP2(pts, [1] * len(pts))
     for k, expected in ((1, 4), (2, 5), (3, 9)):
         assert require_alpha(alpha_symbolic(scheme, k)) == expected
@@ -195,6 +195,19 @@ def test_adapted_tables_expand_correctly():
                 rhs = sum(c * _monomial_value(w, beta)
                           for beta, c in zip(basis, row))
                 assert _monomial_value(x, mon) == rhs
+
+
+def test_integral_change_adapts_subspace():
+    """The change's columns are the unit vectors at the pivots, then the
+    flat's primitive points: the columns of the Fraction inverse of the
+    forms completed by unit rows, each times the lcm of its denominators.
+    A line of P^3 whose RREF has denominators 9 and 3, and a plane."""
+    line = Subspace(3, [LinForm([-1, 4, -2, 1]), LinForm([3, -3, -4, 3])])
+    assert _integral_change(line) == [[1, 0, 22, -5], [0, 1, 10, -2],
+                                      [0, 0, 9, 0], [0, 0, 0, 3]]
+    plane = Subspace(3, [LinForm([0, 4, -1, -1])])
+    assert _integral_change(plane) == [[0, 1, 0, 0], [1, 0, 1, 1],
+                                       [0, 0, 4, 0], [0, 0, 0, 4]]
 
 
 def _monomial_value(coords, exps):
@@ -314,7 +327,8 @@ def test_form_product_evaluates_correctly():
     rng = random.Random(2)
     for _ in range(5):
         pt = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
-        direct = f1.evaluate(pt) ** 2 * f2.evaluate(pt)
+        v1, v2 = (sum(c * x for c, x in zip(f.coeffs, pt)) for f in (f1, f2))
+        direct = v1 ** 2 * v2
         expanded = sum(c * _monomial_value(pt, e) for e, c in form.terms())
         assert direct == expanded
 
@@ -877,7 +891,7 @@ def test_catalog_keeps_one_hyperplane_per_maximal_set():
     fourth point and each other one; no line holds a set inside another's."""
     scheme = FatPointsP2([(0, 0, 1), (1, 0, 1), (3, 0, 1), (0, 2, 1)],
                          [1] * 4).to_scheme()
-    spans = interpolation._spanning_points(scheme)
+    spans = [c.subspace.spans for c in scheme.components]
     catalog = interpolation._hyperplane_catalog(spans, 2)
     assert sorted(on for _, on in catalog) == [(0, 1, 2), (0, 3), (1, 3),
                                                (2, 3)]

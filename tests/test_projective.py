@@ -13,13 +13,11 @@ from fatflats.projective import (
     LinForm,
     Subspace,
     collinear,
-    complete_basis,
     hyperplane_subspace,
     hyperplane_through,
     hyperplanes_general,
     intersect_hyperplanes,
     normalize_point,
-    point_coords,
     point_subspace,
     primitive,
     random_general_hyperplanes,
@@ -35,8 +33,15 @@ def test_linform_canonical_up_to_scale():
 
 
 def test_linform_rejects_zero():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="nonzero coefficient"):
         LinForm([0, 0, 0])
+
+
+def test_zero_point_is_named_a_point():
+    with pytest.raises(ValidationError, match="nonzero coordinate"):
+        point_subspace((0, 0, 0))
+    with pytest.raises(ValidationError, match="nonzero coordinate"):
+        normalize_point((0, Fraction(0), 0))
 
 
 def test_subspace_canonical_equality():
@@ -54,8 +59,9 @@ def test_point_subspace_roundtrip():
     for p in [(1, 2, 3), (0, 1, 5), (0, 0, 1), (2, 0, 0, 4)]:
         sub = point_subspace(p)
         assert sub.is_point
-        assert point_coords(sub) == normalize_point(p)
-        assert sub.contains_point(p)
+        assert normalize_point(sub.basis[0]) == normalize_point(p)
+        assert sub.spans == (primitive(normalize_point(p)),)
+        assert subspace_contains(sub, point_subspace(p))
 
 
 def test_normalize_point_leading_one():
@@ -68,7 +74,8 @@ def test_hyperplane_through_contains_both_points():
     of one point span no line."""
     p, q = (1, 2, 1), (3, -1, 1)
     line = hyperplane_through([p, q])
-    assert LinForm(line).evaluate(p) == 0 and LinForm(line).evaluate(q) == 0
+    assert sum(a * x for a, x in zip(line, p)) == 0
+    assert sum(a * x for a, x in zip(line, q)) == 0
     assert hyperplane_through([p, (2, 4, 2)]) is None
     half = normalize_point((Fraction(1, 2), 1, Fraction(1, 3)))
     assert primitive(half) == (3, 6, 2)
@@ -88,15 +95,14 @@ def test_collinear():
         collinear([(1, 0, 1)])
 
 
-def test_complete_basis_adapts_subspace():
-    sub = Subspace(3, [LinForm([1, 2, 3, 4]), LinForm([0, 1, 1, 0])])
-    change = complete_basis(sub)
-    # first rows of the matrix are the defining forms
-    assert tuple(LinForm(row) for row in change.matrix[:2]) == sub.forms
-    n = len(change.matrix)
-    prod = [[sum(change.matrix[i][k] * change.inverse[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
-    assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+def test_spans_and_equations_are_primitive_integer_vectors():
+    """A flat whose RREF has denominators 9 and 3: its points and forms
+    are integer, primitive, and every form vanishes at every point."""
+    sub = Subspace(3, [LinForm([-1, 4, -2, 1]), LinForm([3, -3, -4, 3])])
+    assert sub.equations == ((9, 0, -22, 15), (0, 9, -10, 6))
+    assert sub.spans == ((22, 10, 9, 0), (-5, -2, 0, 3))
+    assert all(sum(a * x for a, x in zip(h, v)) == 0
+               for h in sub.equations for v in sub.spans)
 
 
 def test_subspace_contains():
@@ -136,7 +142,7 @@ def test_random_point_on_avoids():
     h = hyperplane_subspace(LinForm([1, 1, 1]))
     avoid = [point_subspace((1, 0, -1))]
     p = random_point_on(h, rng, avoid=avoid)
-    assert h.contains_point(p)
+    assert subspace_contains(h, point_subspace(p))
     assert p != normalize_point((1, 0, -1))
     with pytest.raises(ValidationError):
         random_point_on(point_subspace((1, 0, 0)), rng)
@@ -155,7 +161,7 @@ def test_transform_subspace_moves_points_consistently():
     sub = point_subspace(p)
     moved = transform_subspace(sub, m)
     image = [sum(row[j] * Fraction(p[j]) for j in range(3)) for row in m]
-    assert moved.contains_point(image)
+    assert subspace_contains(moved, point_subspace(image))
     with pytest.raises(ValidationError):
         transform_subspace(sub, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
 

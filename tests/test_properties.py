@@ -4,12 +4,16 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from fatflats.interpolation import alpha_symbolic, membership, require_alpha
+from fatflats.interpolation import (
+    _integral_change,
+    alpha_symbolic,
+    membership,
+    require_alpha,
+)
 from fatflats.linalg import invert_matrix, matrix_rank, rank_kernel_rational
 from fatflats.projective import (
     LinForm,
     Subspace,
-    complete_basis,
     normalize_point,
     subspace_contains,
 )
@@ -131,15 +135,23 @@ def test_rational_kernel_annihilates(rows):
 @settings(max_examples=100, deadline=None)
 @given(flat_pairs())
 def test_flat_readout_matches_elimination(pair):
-    """The basis and adapted inverse read off the canonical forms agree
-    with a fresh elimination."""
+    """The basis and adapted change read off the canonical forms: the
+    basis lies on the flat, and the change is an integer matrix of full
+    rank under which each integer form reads its pivot entry times its own
+    adapted coordinate w_i.  Containment agrees with ranks computed by
+    elimination."""
     a, b = pair
     for sub in pair:
-        change = complete_basis(sub)
-        assert [list(row) for row in change.inverse] == \
-            invert_matrix([list(row) for row in change.matrix])
-        assert len(sub.basis) == sub.ambient_dim + 1 - sub.codim
-        assert all(f.evaluate(v) == 0 for f in sub.forms for v in sub.basis)
+        n = sub.ambient_dim + 1
+        change = _integral_change(sub)
+        assert all(type(x) is int for row in change for x in row)
+        assert matrix_rank(change) == n
+        for i, (h, p) in enumerate(zip(sub.equations, sub.pivots)):
+            assert [sum(h[r] * change[r][j] for r in range(n))
+                    for j in range(n)] == [h[p] * (j == i) for j in range(n)]
+        assert len(sub.basis) == n - sub.codim
+        assert all(sum(c * x for c, x in zip(f.coeffs, v)) == 0
+                   for f in sub.forms for v in sub.basis)
     base = [list(f.coeffs) for f in b.forms]
     assert subspace_contains(a, b) == all(
         matrix_rank(base + [list(f.coeffs)]) == b.codim for f in a.forms)

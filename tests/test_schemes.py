@@ -11,6 +11,7 @@ from fatflats.projective import (
     Subspace,
     collinear,
     hyperplane_subspace,
+    normalize_point,
     point_subspace,
     random_point_on,
     subspace_contains,
@@ -165,8 +166,8 @@ def test_build_quasi_star_shape():
     simples = [c for c in scheme.components if c.multiplicity == 1]
     assert len(doubles) == comb(4, 2) and len(simples) == 4
     assert scheme.star_core == (2, 4, 2)
-    from fatflats.projective import point_coords
-    assert not collinear([point_coords(c.subspace) for c in simples])
+    assert not collinear([normalize_point(c.subspace.basis[0])
+                          for c in simples])
     with pytest.raises(ValidationError):
         build_quasi_star(1)
 
@@ -256,6 +257,7 @@ def test_theorem_b_family_rejects_unread_and_non_integer(case_id, params):
 def test_support_line():
     config = build_theorem_b_family("a", {"r": 1, "s": 2})
     line = support_line(config)
-    assert all(line.evaluate(p) == 0 for p in config.points)
+    assert all(sum(c * x for c, x in zip(line.coeffs, p)) == 0
+               for p in config.points)
     with pytest.raises(ValidationError):
         support_line(build_theorem_b_family("c"))
